@@ -11,7 +11,7 @@ from .data import AugmentConfig, SegBatch, SegSample, augment, load_dataset, \
     write_dataset
 from .metrics import ConfusionMatrix, evaluate, mean_iou, multi_scale_infer, \
     pixel_accuracy
-from .model import ModelConfig, PSPNet, Prediction, build_model, model_preset
+from .model import ModelConfig, PSPNet, Prediction, build_model
 from .optim import SGD, OptimConfig, poly_lr
 from .pyramid import PyramidConfig, PyramidPooling, psp_ablation_variants
 from .synth import SynthConfig, synth_generate
@@ -26,7 +26,7 @@ __all__ = [
     "PyramidPooling", "RunConfig", "SGD", "SegBatch", "SegSample", "SynthConfig",
     "Tensor", "augment", "backbone_preset", "backward", "build_model",
     "evaluate", "finite_diff_check", "load_checkpoint", "load_config",
-    "load_dataset", "mean_iou", "model_preset", "multi_scale_infer",
+    "load_dataset", "mean_iou", "multi_scale_infer",
     "pixel_accuracy", "poly_lr", "psp_ablation_variants", "save_checkpoint",
     "synth_generate", "train_loop", "write_dataset", "__version__",
 ]

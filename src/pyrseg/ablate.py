@@ -65,37 +65,12 @@ def variant_config(base: ModelConfig, variant: AblationVariant) -> ModelConfig:
     return replace(base, pyramid=variant.pyramid)
 
 
-def run_variant_grid(base: ModelConfig, train_samples, test_samples,
-                     optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
-                     seeds, batch_size: int, workers: int = 1,
-                     variants: list[AblationVariant] | None = None,
-                     progress=None) -> list[AblationRow]:
+def _run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
+               optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *, seeds,
+               batch_size: int, workers: int, progress) -> list[AblationRow]:
+    """One row per (cell, seed), cells outermost, in the order given."""
     rows = []
-    for variant in variants if variants is not None else psp_ablation_variants():
-        cfg = variant_config(base, variant)
-        for seed in seeds:
-            row = train_and_eval(variant.name, cfg, train_samples, test_samples,
-                                 optim_cfg, aug_cfg, seed=seed,
-                                 batch_size=batch_size, workers=workers)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-    return rows
-
-
-def run_alpha_sweep(base: ModelConfig, train_samples, test_samples,
-                    optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
-                    seeds, batch_size: int, workers: int = 1,
-                    alphas=ALPHA_SWEEP, progress=None) -> list[AblationRow]:
-    """alpha=0 trains without the auxiliary branch entirely; the trunk update
-    sequence is identical either way, so the rows stay comparable."""
-    rows = []
-    for alpha in alphas:
-        if alpha == 0.0:
-            cfg = replace(base, aux_enabled=False, aux_weight=0.0)
-        else:
-            cfg = replace(base, aux_enabled=True, aux_weight=alpha)
-        name = f"alpha={alpha:g}"
+    for name, cfg in cells:
         for seed in seeds:
             row = train_and_eval(name, cfg, train_samples, test_samples,
                                  optim_cfg, aug_cfg, seed=seed,
@@ -104,6 +79,33 @@ def run_alpha_sweep(base: ModelConfig, train_samples, test_samples,
             if progress is not None:
                 progress(row)
     return rows
+
+
+def run_variant_grid(base: ModelConfig, train_samples, test_samples,
+                     optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
+                     seeds, batch_size: int, workers: int = 1,
+                     variants: list[AblationVariant] | None = None,
+                     progress=None) -> list[AblationRow]:
+    if variants is None:
+        variants = psp_ablation_variants()
+    cells = [(v.name, variant_config(base, v)) for v in variants]
+    return _run_cells(cells, train_samples, test_samples, optim_cfg, aug_cfg,
+                      seeds=seeds, batch_size=batch_size, workers=workers,
+                      progress=progress)
+
+
+def run_alpha_sweep(base: ModelConfig, train_samples, test_samples,
+                    optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
+                    seeds, batch_size: int, workers: int = 1,
+                    alphas=ALPHA_SWEEP, progress=None) -> list[AblationRow]:
+    """alpha=0 trains without the auxiliary branch entirely; the trunk update
+    sequence is identical either way, so the rows stay comparable."""
+    cells = [(f"alpha={alpha:g}",
+              replace(base, aux_enabled=alpha != 0.0, aux_weight=alpha))
+             for alpha in alphas]
+    return _run_cells(cells, train_samples, test_samples, optim_cfg, aug_cfg,
+                      seeds=seeds, batch_size=batch_size, workers=workers,
+                      progress=progress)
 
 
 def summarize(rows: list[AblationRow]) -> list[tuple[str, float, float, float, float]]:

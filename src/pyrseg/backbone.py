@@ -137,11 +137,6 @@ class Backbone(Module):
         return y, tap
 
 
-def backbone_forward(x: Tensor, model: Backbone, training: bool) -> tuple[Tensor, Tensor]:
-    model.train(training)
-    return model(x)
-
-
 def impulse_footprint(forward_fn, size: int, channels: int = 3) -> int:
     """Nonzero output extent of a centered impulse, mapped to input pixels."""
     x = np.zeros((1, channels, size, size), dtype=np.float32)

@@ -15,6 +15,8 @@ whether a load is accepted.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -119,10 +121,19 @@ def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
 
 def save(path: str, model: PSPNet, optim_state: dict[str, np.ndarray] | None,
          iteration: int) -> None:
+    """Write to path + ".tmp", then os.replace it over path, so a failed
+    save leaves any earlier file at path intact."""
     entries = _state_entries(model, optim_state)
     blob = serialize(entries, iteration, config_hash(model.cfg))
-    with open(path, "wb") as f:
-        f.write(blob)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _census_diff(expected: dict[str, np.ndarray], found: dict[str, np.ndarray]) -> str | None:

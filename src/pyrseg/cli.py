@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -21,13 +20,6 @@ from .optim import SGD
 from .pnm import read_ppm, write_pgm, write_ppm
 from .synth import synth_generate
 from .training import train_loop
-
-
-def _effective_workers(cfg: RunConfig) -> int:
-    cap = os.environ.get("PSP_THREADS")
-    if cap is None:
-        return cfg.workers
-    return max(1, min(cfg.workers, int(cap)))
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -87,7 +79,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     train_loop(model, sgd, samples, cfg.to_augment_config(), ocfg,
                seed=cfg.seed, batch_size=cfg.batch_size, start_iter=start_iter,
-               workers=_effective_workers(cfg), on_iteration=on_iteration)
+               workers=cfg.workers, on_iteration=on_iteration)
     ckpt_mod.save(str(final_path), model, sgd.velocity, ocfg.max_iter)
     print(f"checkpoint={final_path}")
     return 0
@@ -154,7 +146,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     ocfg = cfg.to_optim_config(max_iter=cfg.ablate_iters)
     acfg = cfg.to_augment_config()
     seeds = range(cfg.seed, cfg.seed + cfg.ablate_seeds)
-    workers = _effective_workers(cfg)
 
     def progress(row) -> None:
         print(f"run variant={row.name} seed={row.seed} "
@@ -162,10 +153,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     variant_rows = ablate_mod.run_variant_grid(
         base, train_samples, test_samples, ocfg, acfg, seeds=seeds,
-        batch_size=cfg.batch_size, workers=workers, progress=progress)
+        batch_size=cfg.batch_size, workers=cfg.workers, progress=progress)
     alpha_rows = ablate_mod.run_alpha_sweep(
         base, train_samples, test_samples, ocfg, acfg, seeds=seeds,
-        batch_size=cfg.batch_size, workers=workers, progress=progress)
+        batch_size=cfg.batch_size, workers=cfg.workers, progress=progress)
 
     print(ablate_mod.format_table(variant_rows, "pooling variants"), end="")
     print(ablate_mod.format_table(alpha_rows, "aux weight sweep"), end="")

@@ -334,7 +334,8 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: np.random.Generator) -> 
 def augment_all(samples: list[SegSample], cfg: AugmentConfig,
                 rngs: list[np.random.Generator], workers: int = 1) -> list[SegSample]:
     """Order-preserving map; each sample owns its generator, so the result
-    does not depend on the worker count."""
+    does not depend on the worker count. At most one thread per sample."""
+    workers = min(workers, len(samples))
     if workers <= 1:
         return [augment(s, cfg, r) for s, r in zip(samples, rngs)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -342,18 +343,6 @@ def augment_all(samples: list[SegSample], cfg: AugmentConfig,
 
 
 # -- batches ------------------------------------------------------------------
-
-
-def make_batches(samples: list[SegSample], batch_size: int, rng: np.random.Generator):
-    """One epoch of shuffled batches; the final short batch is emitted."""
-    if not samples:
-        raise ValueError("empty dataset")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = rng.permutation(len(samples))
-    for start in range(0, len(samples), batch_size):
-        ids = order[start : start + batch_size]
-        yield collate([samples[i] for i in ids])
 
 
 def collate(samples: list[SegSample]) -> SegBatch:

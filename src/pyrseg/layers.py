@@ -71,10 +71,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .backbone import Backbone, BackboneConfig, preset as backbone_preset
+from .backbone import Backbone, BackboneConfig
 from .layers import BatchNorm2d, Conv2d, Module, init_parameters
 from .pyramid import PyramidConfig, PyramidPooling
 from .tensor import Tensor
@@ -33,18 +33,6 @@ class ModelConfig:
             raise ValueError(f"aux_weight must be in [0, 1], got {self.aux_weight}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-
-
-def model_preset(name: str, num_classes: int, **overrides) -> ModelConfig:
-    head = 32 if name == "toy" else 512
-    kwargs: dict = dict(
-        backbone=backbone_preset(name),
-        pyramid=PyramidConfig(),
-        num_classes=num_classes,
-        head_channels=head,
-    )
-    kwargs.update(overrides)
-    return ModelConfig(**kwargs)
 
 
 @dataclass
@@ -134,10 +122,3 @@ def count_parameters(model: Module) -> int:
     """Number of scalar parameters in a built model (aux branch included)."""
     return sum(p.size for _, p in model.named_parameters())
 
-
-def forward_train(x: Tensor, labels: np.ndarray, model: PSPNet):
-    return model.forward_train(x, labels)
-
-
-def forward_infer(x: Tensor, model: PSPNet) -> Prediction:
-    return model.forward_infer(x)

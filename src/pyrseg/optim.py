@@ -67,16 +67,3 @@ class SGD:
         for p in self.params.values():
             p.grad = None
 
-
-def sgd_step(params: dict[str, Tensor], state: dict[str, np.ndarray], lr: float,
-             cfg: OptimConfig) -> None:
-    """Functional form of SGD.step over explicit state; grads read from .grad."""
-    mu, wd = cfg.momentum, cfg.weight_decay
-    for name, p in params.items():
-        if p.grad is None:
-            raise RuntimeError(f"parameter {name} has no gradient; run backward first")
-        g = p.grad + wd * p.data
-        v = state[name]
-        v *= mu
-        v += g
-        p.data -= lr * v

@@ -68,11 +68,6 @@ class PyramidPooling(Module):
         return ops.concat_channels(levels)
 
 
-def psp_forward(feat: Tensor, module: PyramidPooling, training: bool) -> Tensor:
-    module.train(training)
-    return module(feat)
-
-
 @dataclass(frozen=True)
 class AblationVariant:
     name: str

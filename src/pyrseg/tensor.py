@@ -19,16 +19,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# Toggled by set_debug_checks: verifies op outputs are finite after each
-# forward. Off by default, it doubles the cost of cheap ops.
-_debug_checks = False
-
 _active_graph: "Graph | None" = None
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 def active_graph() -> "Graph | None":
@@ -101,12 +92,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -141,8 +126,6 @@ def record_op(
     backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
 ) -> Tensor:
     """Wrap an op result; append a tape node if recording and grads are needed."""
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("op produced non-finite values from finite inputs")
     g = _active_graph
     needs = g is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=needs, dtype=data.dtype)

@@ -47,6 +47,8 @@ def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
     n = len(samples)
     if n == 0:
         raise ValueError("empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     per_epoch = math.ceil(n / batch_size)
     epoch, slot = divmod(iteration, per_epoch)
     order = epoch_order(seed, epoch, n)
@@ -63,8 +65,13 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
     """Run iterations [start_iter, max_iter); returns per-iteration stats.
 
     on_iteration fires after the optimizer step, so a checkpoint taken there
-    captures the state a fresh run would reach at the same index.
+    captures the state a fresh run would reach at the same index. A
+    non-finite loss raises RuntimeError before the step, so no NaN reaches
+    the parameters or a checkpoint.
     """
+    if not 0 <= start_iter <= optim_cfg.max_iter:
+        raise ValueError(f"start iteration {start_iter} outside the schedule "
+                         f"[0, {optim_cfg.max_iter}]")
     history: list[IterStats] = []
     for it in range(start_iter, optim_cfg.max_iter):
         batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, workers)
@@ -72,6 +79,9 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
         with Graph():
             total, main, aux = model.forward_train(Tensor(batch.images), batch.labels)
             backward(total)
+        total_loss = float(total.data)
+        if not math.isfinite(total_loss):
+            raise RuntimeError(f"non-finite loss at iteration {it}")
         sgd.step(lr)
         sgd.zero_grad()
         stats = IterStats(
@@ -79,7 +89,7 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
             lr=lr,
             main_loss=float(main.data),
             aux_loss=float(aux.data),
-            total_loss=float(total.data),
+            total_loss=total_loss,
         )
         history.append(stats)
         if on_iteration is not None:

@@ -133,6 +133,55 @@ def test_saved_files_byte_identical_across_saves(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+class _HalfWriter:
+    """File stand-in that writes half the blob, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+        return False
+
+    def write(self, blob):
+        self.f.write(blob[: len(blob) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("fault", ["serialize", "write", "replace"])
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, fault):
+    cfg = _cfg()
+    model = build_model(cfg, seed=1)
+    path = tmp_path / "m.pspc"
+    ckpt.save(str(path), model, None, 3)
+    before = path.read_bytes()
+
+    for p in model.parameters():
+        p.data += 1.0
+    if fault == "serialize":
+        def boom(*args):
+            raise RuntimeError("serialize failed")
+        monkeypatch.setattr(ckpt, "serialize", boom)
+    elif fault == "write":
+        monkeypatch.setattr(ckpt, "open",
+                            lambda name, mode: _HalfWriter(open(name, mode)),
+                            raising=False)
+    else:
+        def boom(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(ckpt.os, "replace", boom)
+    with pytest.raises((RuntimeError, OSError)):
+        ckpt.save(str(path), model, None, 4)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert ckpt.load(str(path), cfg)[2] == 3
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.pspc"]
+
+
 def test_census_missing_and_unexpected(tmp_path):
     cfg = _cfg()
     model = build_model(cfg, seed=0)

@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from pyrseg import checkpoint as ckpt
 from pyrseg.cli import main
+from pyrseg.config import load_config
+from pyrseg.model import build_model
 from pyrseg.pnm import read_pgm, read_ppm, write_ppm
 
 
@@ -126,6 +129,37 @@ def test_resume_from_checkpoint(ds_dir, tmp_path, capsys):
     assert "resumed iteration=2" in out
     assert "iter=3" in out
     assert "iter=1" not in out  # continues, does not restart
+
+
+def test_resume_past_schedule_end_exits_one(ds_dir, tmp_path, capsys):
+    cfg = _train_cfg(tmp_path, ds_dir)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--max-iter", "4",
+                 "--out", str(run)]) == 0
+    late = run / "late.pspc"
+    (run / "final.pspc").rename(late)
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--max-iter", "2",
+               "--checkpoint", str(late), "--out", str(run)])
+    assert rc == 1
+    assert "start iteration 4 outside the schedule [0, 2]" in capsys.readouterr().err
+    assert not (run / "final.pspc").exists()
+
+
+def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):
+    cfg = _train_cfg(tmp_path, ds_dir)
+    run = tmp_path / "run"
+    run.mkdir()
+    model_cfg = load_config(str(cfg)).to_model_config()
+    model = build_model(model_cfg, seed=0)
+    next(p for _, p in model.named_parameters()).data[...] = np.nan
+    bad = run / "nan.pspc"
+    ckpt.save(str(bad), model, None, 0)
+    rc = main(["train", "--config", str(cfg), "--max-iter", "2",
+               "--checkpoint", str(bad), "--out", str(run)])
+    assert rc == 1
+    assert "error: non-finite loss at iteration 0" in capsys.readouterr().err
+    assert not (run / "final.pspc").exists()
 
 
 def test_error_paths_exit_one(tmp_path, capsys):

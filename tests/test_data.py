@@ -15,7 +15,6 @@ from pyrseg.data import (
     gaussian_blur,
     load_dataset,
     load_sample,
-    make_batches,
     pad_and_crop,
     resize_image,
     resize_labels,
@@ -203,38 +202,6 @@ def test_augment_all_order_preserving_and_worker_independent():
 
 
 # -- batching ---------------------------------------------------------------
-
-
-def test_make_batches_10_over_4():
-    rng = np.random.default_rng(12)
-    data_rng = np.random.default_rng(13)
-    samples = [_sample(data_rng, h=16, w=16) for _ in range(10)]
-    sizes = [b.images.shape[0] for b in make_batches(samples, 4, rng)]
-    assert sizes == [4, 4, 2]
-
-
-def test_make_batches_shuffles_and_covers_everything():
-    # Tag each sample by a unique constant image so we can track coverage.
-    samples = [
-        SegSample(np.full((3, 8, 8), i, dtype=np.float32),
-                  np.zeros((8, 8), dtype=np.uint8))
-        for i in range(10)
-    ]
-    seen1 = [int(b.images[j, 0, 0, 0]) for b in make_batches(samples, 3, np.random.default_rng(1))
-             for j in range(b.images.shape[0])]
-    seen2 = [int(b.images[j, 0, 0, 0]) for b in make_batches(samples, 3, np.random.default_rng(2))
-             for j in range(b.images.shape[0])]
-    assert sorted(seen1) == list(range(10))
-    assert sorted(seen2) == list(range(10))
-    assert seen1 != seen2  # different generators, different order
-
-
-def test_make_batches_validation():
-    with pytest.raises(ValueError, match="empty"):
-        list(make_batches([], 4, np.random.default_rng(0)))
-    s = [_sample(np.random.default_rng(0), h=8, w=8)]
-    with pytest.raises(ValueError, match="batch_size"):
-        list(make_batches(s, 0, np.random.default_rng(0)))
 
 
 def test_collate_types_and_mismatch():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pyrseg.backbone import BackboneConfig
-from pyrseg.model import (ModelConfig, PSPNet, build_model, count_parameters,
-                          model_preset)
+from pyrseg.config import RunConfig
+from pyrseg.model import ModelConfig, PSPNet, build_model, count_parameters
 from pyrseg.pyramid import PyramidConfig
 from pyrseg.tensor import Graph, Tensor, backward
 
@@ -30,10 +30,11 @@ def _batch(rng, n=2, size=16, k=3):
 
 def test_forward_train_losses_and_weighting():
     rng = np.random.default_rng(0)
-    model = build_model(_tiny(aux_weight=0.4), seed=0)
+    model = build_model(_tiny(aux_weight=0.4), seed=0).eval()
     x, labels = _batch(rng)
     with Graph():
         total, main, aux = model.forward_train(Tensor(x), labels)
+    assert all(m.training for _, m in model.named_modules())  # train flips back on
     assert total.shape == () and main.shape == () and aux.shape == ()
     assert abs(float(total.data) - (float(main.data) + 0.4 * float(aux.data))) < 1e-6
     assert float(main.data) > 0 and float(aux.data) > 0
@@ -126,14 +127,6 @@ def test_baseline_head_consumes_backbone_channels():
     assert model.head.conv1.params.weight.shape[1] == 64  # base 8 * 8
 
 
-def test_model_preset_head_widths():
-    toy = model_preset("toy", num_classes=5)
-    assert toy.head_channels == 32
-    assert toy.num_classes == 5
-    big = model_preset("resnet50-layout", num_classes=5)
-    assert big.head_channels == 512
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="aux_weight"):
         ModelConfig(aux_weight=1.5)
@@ -142,12 +135,12 @@ def test_config_validation():
 
 
 def test_toy_default_parameter_budget():
-    model = build_model(model_preset("toy", num_classes=4), seed=0)
+    model = build_model(RunConfig(preset="toy").to_model_config(), seed=0)
     assert model.count_parameters() <= 200_000
 
 
 @pytest.mark.parametrize("preset", ["toy", "resnet50-layout"])
 def test_module_count_parameters_counts_a_built_model(preset):
-    model = build_model(model_preset(preset, num_classes=4), seed=0)
+    model = build_model(RunConfig(preset=preset).to_model_config(), seed=0)
     expected = sum(p.size for _, p in model.named_parameters())
     assert count_parameters(model) == model.count_parameters() == expected

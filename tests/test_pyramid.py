@@ -8,7 +8,6 @@ from pyrseg.pyramid import (
     PyramidConfig,
     PyramidPooling,
     psp_ablation_variants,
-    psp_forward,
 )
 from pyrseg.tensor import Tensor
 
@@ -101,17 +100,6 @@ def test_max_mode_levels_dominate_average():
     out_max = _module(3, cfg_max)(x).data[:, 3:]
     out_avg = _module(3, cfg_avg)(x).data[:, 3:]
     assert (out_max >= out_avg - 1e-6).all()
-
-
-def test_psp_forward_sets_mode():
-    cfg = PyramidConfig(bin_sizes=(1, 2))
-    m = _module(8, cfg)
-    x = Tensor(np.random.default_rng(3).normal(size=(2, 8, 6, 6)).astype(np.float32))
-    out = psp_forward(x, m, training=True)
-    assert m.training
-    assert out.shape[1] == m.out_channels
-    psp_forward(x, m, training=False)
-    assert not m.training
 
 
 def test_ablation_grid_is_nine_variants():

@@ -1,6 +1,7 @@
 """Training-loop determinism and resume equivalence."""
 
 import numpy as np
+import pytest
 
 from pyrseg import checkpoint as ckpt
 from pyrseg.backbone import BackboneConfig
@@ -66,6 +67,13 @@ def test_batch_covers_epoch_without_repeats():
     b1 = batch_for_iteration(samples, 4, seed=0, iteration=1, aug_cfg=_aug())
     assert b0.images.shape[0] == 4
     assert b1.images.shape[0] == 2
+
+
+def test_batch_for_iteration_validation():
+    with pytest.raises(ValueError, match="empty"):
+        batch_for_iteration([], 4, seed=0, iteration=0, aug_cfg=_aug())
+    with pytest.raises(ValueError, match="batch_size"):
+        batch_for_iteration(_corpus(), 0, seed=0, iteration=0, aug_cfg=_aug())
 
 
 def test_augment_rng_streams_distinct():
@@ -141,3 +149,31 @@ def test_start_iter_skips_the_prefix():
     history = train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
                          batch_size=2, start_iter=3)
     assert [h.iteration for h in history] == [3, 4]
+
+
+def test_start_iter_outside_schedule_rejected():
+    _, model = _tiny_model()
+    ocfg = OptimConfig(max_iter=2)
+    sgd = SGD(dict(model.named_parameters()), ocfg)
+    for start in (4, -1):
+        with pytest.raises(ValueError, match=rf"{start}.*\[0, 2\]"):
+            train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
+                       batch_size=2, start_iter=start)
+    assert train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
+                      batch_size=2, start_iter=2) == []
+
+
+def test_non_finite_loss_stops_before_the_step():
+    _, model = _tiny_model()
+    params = dict(model.named_parameters())
+    params["head/conv2/bias"].data[0] = np.nan
+    snapshot = {n: p.data.copy() for n, p in params.items()}
+    ocfg = OptimConfig(max_iter=3)
+    sgd = SGD(params, ocfg)
+    seen = []
+    with pytest.raises(RuntimeError, match="non-finite loss at iteration 0$"):
+        train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0, batch_size=2,
+                   on_iteration=seen.append)
+    assert seen == []
+    for name, p in params.items():
+        assert np.array_equal(p.data, snapshot[name], equal_nan=True), name
