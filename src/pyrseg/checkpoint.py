@@ -16,6 +16,7 @@ whether a load is accepted.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 import zlib
@@ -48,28 +49,39 @@ def _state_entries(model: PSPNet, optim_state: dict[str, np.ndarray] | None) -> 
     return entries
 
 
-def serialize(entries: dict[str, np.ndarray], iteration: int, cfg_hash: int) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<IQQI", FORMAT_VERSION, iteration, cfg_hash, len(entries))
+def _serialize_into(f, entries: dict[str, np.ndarray], iteration: int, cfg_hash: int) -> None:
+    """Write the checkpoint bytes to the binary file f, CRC computed as it goes."""
+    crc = 0
+
+    def put(chunk) -> None:
+        nonlocal crc
+        f.write(chunk)
+        crc = zlib.crc32(chunk, crc)
+
+    put(MAGIC + struct.pack("<IQQI", FORMAT_VERSION, iteration, cfg_hash, len(entries)))
     for name in sorted(entries):
         arr = np.ascontiguousarray(entries[name], dtype=np.float32)
         raw = name.encode("utf-8")
-        out += struct.pack("<H", len(raw))
-        out += raw
-        out += struct.pack("<BB", _DTYPE_F32, arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype("<f4", copy=False).tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+        put(struct.pack("<H", len(raw)) + raw + struct.pack("<BB", _DTYPE_F32, arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape))
+        put(arr.astype("<f4", copy=False).reshape(-1).view(np.uint8))
+    f.write(struct.pack("<I", crc))
+
+
+def serialize(entries: dict[str, np.ndarray], iteration: int, cfg_hash: int) -> bytes:
+    buf = io.BytesIO()
+    _serialize_into(buf, entries, iteration, cfg_hash)
+    return buf.getvalue()
 
 
 class _Reader:
-    def __init__(self, data: bytes) -> None:
+    """Bounds-checked cursor over a memoryview; takes are views, not copies."""
+
+    def __init__(self, data: memoryview) -> None:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ValueError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
@@ -85,15 +97,17 @@ class _Reader:
 
 def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
     """Returns (entries, iteration, stored config hash). Validates CRC first."""
-    if len(data) < len(MAGIC) + struct.calcsize("<IQQI") + 4:
-        raise ValueError(f"truncated checkpoint: {len(data)} bytes")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    actual_crc = zlib.crc32(data[:-4])
+    view = memoryview(data)
+    if len(view) < len(MAGIC) + struct.calcsize("<IQQI") + 4:
+        raise ValueError(f"truncated checkpoint: {len(view)} bytes")
+    body = view[:-4]
+    stored_crc = struct.unpack("<I", view[-4:])[0]
+    actual_crc = zlib.crc32(body)
     if stored_crc != actual_crc:
         raise ValueError(
             f"checkpoint CRC mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"
         )
-    r = _Reader(data[:-4])
+    r = _Reader(body)
     if r.take(4) != MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     version, iteration, cfg_hash, count = r.unpack("<IQQI")
@@ -103,7 +117,7 @@ def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
     prev = None
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        name = str(r.take(nlen), "utf-8")
         if prev is not None and not name > prev:
             raise ValueError(f"entry names out of order: {name!r} after {prev!r}")
         prev = name
@@ -124,11 +138,10 @@ def save(path: str, model: PSPNet, optim_state: dict[str, np.ndarray] | None,
     """Write to path + ".tmp", then os.replace it over path, so a failed
     save leaves any earlier file at path intact."""
     entries = _state_entries(model, optim_state)
-    blob = serialize(entries, iteration, config_hash(model.cfg))
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(blob)
+            _serialize_into(f, entries, iteration, config_hash(model.cfg))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -185,7 +198,7 @@ def load(path: str, cfg: ModelConfig, allow_prune: bool = False,
     optim_state: dict[str, np.ndarray] = {}
     for name, arr in entries.items():
         if name.startswith(OPTIM_PREFIX):
-            optim_state[name[len(OPTIM_PREFIX):]] = arr.copy()
+            optim_state[name[len(OPTIM_PREFIX):]] = arr
         elif name in buffers:
             buffers[name][...] = arr
         else:

@@ -122,6 +122,12 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
+# Smallest accepted value of each run-control and batching key.
+_MINIMUMS = {
+    "batch_size": 1, "log_every": 1, "ckpt_every": 0, "workers": 1,
+    "ablate_iters": 1, "ablate_seeds": 1, "ablate_train_n": 1, "ablate_test_n": 1,
+}
+
 
 def _parse_value(key: str, text: str):
     default = _FIELDS[key].default
@@ -169,6 +175,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
+    for key, low in _MINIMUMS.items():
+        if getattr(cfg, key) < low:
+            raise ValueError(f"config key {key} must be >= {low}, got {getattr(cfg, key)}")
     return cfg
 
 

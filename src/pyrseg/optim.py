@@ -2,6 +2,11 @@
 
 Update order is fixed: g <- grad + weight_decay * p; v <- momentum * v + g;
 p <- p - lr * v. Decay applies to every parameter, BN scales included.
+
+The update runs in place over each parameter's flat view, one block of
+_BLOCK elements at a time through one preallocated float32 scratch buffer,
+so a step allocates nothing of the parameters' size; the arithmetic is the
+same, element for element, as the three lines above.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Tensor
+
+_BLOCK = 65536
 
 
 @dataclass
@@ -50,18 +57,37 @@ class SGD:
         self.velocity: dict[str, np.ndarray] = {
             name: np.zeros_like(p.data) for name, p in self.params.items()
         }
+        self._scratch = np.empty(_BLOCK, dtype=np.float32)
 
     def step(self, lr: float) -> None:
-        mu = self.cfg.momentum
-        wd = self.cfg.weight_decay
+        """Check every parameter first, so a bad one leaves all unchanged."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise RuntimeError(f"parameter {name} has no gradient; run backward first")
-            g = p.grad + wd * p.data
+            if p.grad.shape != p.data.shape:
+                raise RuntimeError(f"parameter {name}: gradient shape {p.grad.shape} "
+                                   f"vs {p.data.shape}")
             v = self.velocity[name]
-            v *= mu
-            v += g
-            p.data -= lr * v
+            for what, arr in (("parameter", p.data), ("velocity", v)):
+                if arr.dtype != np.float32 or not arr.flags.c_contiguous:
+                    raise RuntimeError(f"{what} {name} must be a C-contiguous float32 array")
+        mu = self.cfg.momentum
+        wd = self.cfg.weight_decay
+        lr = float(lr)
+        for name, p in self.params.items():
+            pf = p.data.reshape(-1)
+            gf = p.grad.reshape(-1)
+            vf = self.velocity[name].reshape(-1)
+            for lo in range(0, pf.size, _BLOCK):
+                hi = min(lo + _BLOCK, pf.size)
+                t = self._scratch[: hi - lo]
+                pb, vb = pf[lo:hi], vf[lo:hi]
+                np.multiply(pb, wd, out=t)
+                t += gf[lo:hi]
+                vb *= mu
+                vb += t
+                np.multiply(vb, lr, out=t)
+                pb -= t
 
     def zero_grad(self) -> None:
         for p in self.params.values():

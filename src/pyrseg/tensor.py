@@ -6,6 +6,12 @@ every op that touches a requires_grad tensor appends one node to the tape.
 backward(loss) replays the tape exactly once, in reverse recorded order,
 summing gradients where a tensor fans out to several consumers.
 
+backward pops each node off the tape as it walks it, so a node's closure,
+the arrays it captured, its intermediate output and that output's .grad
+are freed by refcount as soon as they are used; no reference cycle keeps
+an iteration's tape alive until the cyclic GC runs. Training memory is
+therefore one iteration's tape, and a walked graph holds no nodes.
+
 Gradients land in .grad, which must be empty at backward time: call
 zero_grad first. Re-running backward without zeroing raises instead of
 silently accumulating, and a graph can only be walked once.
@@ -151,7 +157,8 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(g.nodes):
+    while g.nodes:
+        node = g.nodes.pop()
         gout = grads.pop(id(node.output), None)
         if gout is None:
             continue

@@ -133,6 +133,17 @@ def test_saved_files_byte_identical_across_saves(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_writes_the_serialize_bytes(tmp_path):
+    model = build_model(_cfg(), seed=2)
+    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    for v in sgd.velocity.values():
+        v += 0.5
+    path = tmp_path / "m.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 5)
+    entries = ckpt._state_entries(model, sgd.velocity)
+    assert path.read_bytes() == ckpt.serialize(entries, 5, ckpt.config_hash(model.cfg))
+
+
 class _HalfWriter:
     """File stand-in that writes half the blob, then fails like a full disk."""
 
@@ -162,9 +173,10 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, fault):
     for p in model.parameters():
         p.data += 1.0
     if fault == "serialize":
-        def boom(*args):
+        def boom(f, *args):
+            f.write(ckpt.MAGIC)
             raise RuntimeError("serialize failed")
-        monkeypatch.setattr(ckpt, "serialize", boom)
+        monkeypatch.setattr(ckpt, "_serialize_into", boom)
     elif fault == "write":
         monkeypatch.setattr(ckpt, "open",
                             lambda name, mode: _HalfWriter(open(name, mode)),

@@ -1,13 +1,15 @@
 """End-to-end command flows in a temp directory, driven through main()."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pyrseg import checkpoint as ckpt
-from pyrseg.cli import main
+from pyrseg.cli import build_parser, main
 from pyrseg.config import load_config
 from pyrseg.model import build_model
 from pyrseg.pnm import read_pgm, read_ppm, write_ppm
@@ -206,3 +208,25 @@ def test_console_help_via_subprocess():
     assert proc.returncode == 0
     for sub in ("train", "eval", "predict", "ablate", "gradcheck", "synth"):
         assert sub in proc.stdout
+
+
+def test_log_every_zero_exits_one_without_traceback(ds_dir, tmp_path):
+    cfg = _train_cfg(tmp_path, ds_dir)
+    cfg.write_text(cfg.read_text() + "log_every = 0\n")
+    run = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-m", "pyrseg.cli", "train", "--config", str(cfg),
+                           "--max-iter", "1", "--out", str(run)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: config key log_every must be >= 1, got 0\n"
+    assert proc.stdout == ""
+    assert not run.exists()
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quickstart\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("pyrseg ")]
+    assert [c[0] for c in commands] == ["synth", "train", "eval", "predict"]
+    for argv in commands:
+        build_parser().parse_args(argv)

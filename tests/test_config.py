@@ -135,3 +135,17 @@ def test_to_optim_config_max_iter_override():
     cfg = RunConfig(max_iter=500)
     assert cfg.to_optim_config().max_iter == 500
     assert cfg.to_optim_config(max_iter=120).max_iter == 120
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("log_every", 0), ("ckpt_every", -1), ("workers", 0), ("batch_size", 0),
+    ("ablate_iters", 0), ("ablate_seeds", 0), ("ablate_train_n", 0), ("ablate_test_n", 0),
+])
+def test_load_config_rejects_run_control_below_minimum(tmp_path, key, bad):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {bad}\n")
+    with pytest.raises(ValueError, match=f"config key {key} must be >= {bad + 1}"):
+        load_config(str(path))
+    with pytest.raises(ValueError, match=f"config key {key}"):
+        load_config(None, {key: bad})
+    assert getattr(load_config(None, {key: bad + 1}), key) == bad + 1

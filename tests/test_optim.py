@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from pyrseg import checkpoint as ckpt
+from pyrseg import optim
 from pyrseg.optim import SGD, OptimConfig, poly_lr
 from pyrseg.tensor import Tensor
 
@@ -132,3 +134,58 @@ def test_sgd_trajectory_matches_manual_simulation():
         vel = 0.9 * vel + (g + 0.01 * ref)
         ref = ref - lr * vel
     assert np.allclose(p.data, ref, atol=1e-4)
+
+
+def test_sgd_step_bitwise_equals_reference_update():
+    # Sizes straddle the block: one below it, one over two blocks and not a
+    # multiple of it. Velocity comes back through a checkpoint round trip.
+    rng = np.random.default_rng(3)
+    shapes = {"a": (7, 5), "b": (2 * optim._BLOCK + 123,), "c": (3, optim._BLOCK // 2 + 9)}
+    params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for n, s in shapes.items()}
+    cfg = OptimConfig(momentum=0.9, weight_decay=0.0005)
+    sgd = SGD(params, cfg)
+    saved = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    restored, _, _ = ckpt.deserialize(ckpt.serialize(saved, 0, 0))
+    for name in sgd.velocity:
+        sgd.velocity[name][...] = restored[name]
+    ref_p = {n: p.data.copy() for n, p in params.items()}
+    ref_v = {n: v.copy() for n, v in restored.items()}
+    for lr in (0.01, 0.0093):
+        for name, p in params.items():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+            g = p.grad + cfg.weight_decay * ref_p[name]
+            ref_v[name] *= cfg.momentum
+            ref_v[name] += g
+            ref_p[name] -= lr * ref_v[name]
+        sgd.step(lr)
+        sgd.zero_grad()
+    for name, p in params.items():
+        assert np.array_equal(p.data, ref_p[name]), name
+        assert np.array_equal(sgd.velocity[name], ref_v[name]), name
+
+
+def test_sgd_missing_last_gradient_leaves_every_parameter_unchanged():
+    params = {n: _param(np.arange(4) + i) for i, n in enumerate("abc")}
+    sgd = SGD(params, OptimConfig())
+    for name in "ab":
+        params[name].grad = np.ones(4, dtype=np.float32)
+    before = {n: p.data.copy() for n, p in params.items()}
+    with pytest.raises(RuntimeError, match="parameter c has no gradient"):
+        sgd.step(0.1)
+    for name, p in params.items():
+        assert np.array_equal(p.data, before[name]), name
+        assert not sgd.velocity[name].any(), name
+
+
+def test_sgd_rejects_non_contiguous_state():
+    p = _param(np.arange(12).reshape(3, 4))
+    sgd = SGD({"w": p}, OptimConfig())
+    p.grad = np.ones((3, 4), dtype=np.float32)
+    sgd.velocity["w"] = np.zeros((4, 3), dtype=np.float32).T
+    with pytest.raises(RuntimeError, match="velocity w must be a C-contiguous"):
+        sgd.step(0.1)
+    sgd.velocity["w"] = np.zeros((3, 4), dtype=np.float32)
+    p.data = np.asfortranarray(p.data)
+    with pytest.raises(RuntimeError, match="parameter w must be a C-contiguous"):
+        sgd.step(0.1)

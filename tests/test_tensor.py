@@ -1,5 +1,8 @@
 """Engine semantics: tape recording, reverse walk, gradient contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,27 @@ def test_intermediate_grads_populated():
         backward((mid * 4.0).sum())
     assert np.allclose(mid.grad, [4.0])
     assert np.allclose(a.grad, [12.0])
+
+
+def test_backward_releases_the_tape_without_gc():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    gc.disable()
+    try:
+        with Graph() as g:
+            h = matmul(x, w)
+            z = h * h
+            loss = tmean(z)
+        refs = [weakref.ref(h.data), weakref.ref(z.data)]
+        del h, z
+        assert refs[0]() is not None
+        backward(loss)
+        assert g.nodes == []
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+    assert x.grad.shape == (4, 3) and w.grad.shape == (3, 5)
 
 
 def test_finite_diff_check_agrees_on_polynomial():

@@ -1,4 +1,7 @@
-"""Training-loop determinism and resume equivalence."""
+"""Training-loop determinism, resume equivalence and memory bound."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,3 +180,26 @@ def test_non_finite_loss_stops_before_the_step():
     assert seen == []
     for name, p in params.items():
         assert np.array_equal(p.data, snapshot[name], equal_nan=True), name
+
+
+def _traced_peak(iters):
+    _, model = _tiny_model()
+    ocfg = OptimConfig(max_iter=iters)
+    sgd = SGD(dict(model.named_parameters()), ocfg)
+    samples = _corpus()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        train_loop(model, sgd, samples, _aug(), ocfg, seed=0, batch_size=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_training_memory_is_one_tape_without_gc():
+    # Each iteration's tape must be freed by refcount, not by the cyclic GC,
+    # so the peak does not grow with the iteration count.
+    short, long = _traced_peak(2), _traced_peak(8)
+    assert long <= 1.2 * short, (short, long)
