@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 import zlib
@@ -81,11 +82,13 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
+    def take(self, n: int, what: str = "") -> memoryview:
+        if n < 0:
+            raise ValueError(f"negative read of {n} bytes at offset {self.pos}")
         if self.pos + n > len(self.data):
             raise ValueError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"file holds {len(self.data)}"
+                f"truncated checkpoint: {what + ' ' if what else ''}wanted {n} bytes "
+                f"at offset {self.pos}, file holds {len(self.data)}"
             )
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -125,8 +128,9 @@ def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
         if dtype_tag != _DTYPE_F32:
             raise ValueError(f"unknown dtype tag {dtype_tag} for entry {name!r}")
         dims = r.unpack(f"<{rank}I")
-        nbytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
-        arr = np.frombuffer(r.take(nbytes), dtype="<f4").reshape(dims)
+        # Python ints: a product of u32 dims must not wrap.
+        raw = r.take(4 * math.prod(dims), f"entry {name!r}")
+        arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
         entries[name] = arr.astype(np.float32)
     if r.pos != len(r.data):
         raise ValueError(f"{len(r.data) - r.pos} trailing bytes after last entry")

@@ -79,7 +79,7 @@ def case_mul(rng):
 def case_scale(rng):
     a = _t(rng, 4, 3)
     proj = _const(rng, (4, 3))
-    return (lambda a: _project(a.scale(-1.7), proj)), [a]
+    return (lambda a: _project(a * -1.7, proj)), [a]
 
 
 def case_sum_axis(rng):

@@ -3,8 +3,11 @@ upsampling, channel concat, and softmax cross-entropy with an ignore label.
 
 Every op is a pure function of Tensors (BN running-stat updates are the one
 documented mutation) and registers its own backward on the active Graph.
-conv2d lowers to im2col + matmul; the naive direct-summation reference the
-tests compare against lives with the tests, not here.
+conv2d has one lowering for every shape: it pads a channels-last copy of the
+input, gathers im2col columns in (c, i, j) order tap by tap, and multiplies
+by the weight matrix; its backward scatter-adds the tap gradients onto a
+channels-last buffer in the same tap order. The naive direct-summation
+reference the tests compare against lives with the tests, not here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, record_op
 
@@ -27,18 +30,6 @@ class Conv2dParams:
     stride: int = 1
     padding: int = 0
     dilation: int = 1
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def kernel(self) -> tuple[int, int]:
-        return self.weight.shape[2], self.weight.shape[3]
 
 
 @dataclass
@@ -55,19 +46,24 @@ def conv_output_size(extent: int, kernel: int, stride: int, padding: int, dilati
     return (extent + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def _zero_pad(a: np.ndarray, pad: int, axes: tuple[int, int] = (2, 3)) -> np.ndarray:
-    """Zero border of width pad on two axes of a 4-D array (np.pad's result,
-    minus its per-call overhead)."""
+def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
+    """Zero border of width pad on the H and W axes of an N x H x W x C array
+    (np.pad's result, minus its per-call overhead)."""
     if not pad:
         return a
-    shape = list(a.shape)
-    inner = [slice(None)] * 4
-    for ax in axes:
-        shape[ax] += 2 * pad
-        inner[ax] = slice(pad, pad + a.shape[ax])
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(inner)] = a
+    n, h, w, c = a.shape
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=a.dtype)
+    out[:, pad : pad + h, pad : pad + w] = a
     return out
+
+
+def _tap_window(i: int, j: int, stride: int, dilation: int, ho: int, wo: int) -> tuple[slice, slice]:
+    """Row and column slices of the padded input that kernel tap (i, j) meets
+    across the ho x wo output grid."""
+    return (
+        slice(i * dilation, i * dilation + (ho - 1) * stride + 1, stride),
+        slice(j * dilation, j * dilation + (wo - 1) * stride + 1, stride),
+    )
 
 
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
@@ -89,25 +85,15 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         )
 
     stride, pad, dil = p.stride, p.padding, p.dilation
-    # col matrix (n*ho*wo, c*kh*kw), columns in (c, i, j) order. Where channels
-    # outnumber output columns, copying tap by tap from a channels-last input
-    # moves runs of c values instead of kw; elsewhere one strided copy wins.
-    if c >= wo:
-        xp = _zero_pad(x.data.transpose(0, 2, 3, 1), pad, axes=(1, 2))
-        cols = np.empty((n, ho, wo, c, kh, kw), dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, :, :, i, j] = xp[
-                    :,
-                    i * dil : i * dil + (ho - 1) * stride + 1 : stride,
-                    j * dil : j * dil + (wo - 1) * stride + 1 : stride,
-                ]
-    else:
-        xp = _zero_pad(x.data, pad)
-        sn, sc, sh, sw = xp.strides
-        win = as_strided(xp, (n, c, ho, wo, kh, kw),
-                         (sn, sc, sh * stride, sw * stride, sh * dil, sw * dil), writeable=False)
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    # windows[i * kw + j] holds the slices tap (i, j) reads.
+    windows = [_tap_window(i, j, stride, dil, ho, wo) for i in range(kh) for j in range(kw)]
+    # col matrix (n*ho*wo, c*kh*kw), columns in (c, i, j) order, gathered one
+    # tap at a time from a channels-last padded input: each copy moves runs
+    # of c values.
+    xp = _zero_pad(x.data.transpose(0, 2, 3, 1), pad)
+    cols = np.empty((n, ho, wo, c, kh * kw), dtype=xp.dtype)
+    for t, (rows, cs) in enumerate(windows):
+        cols[..., t] = xp[:, rows, cs]
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = p.weight.data.reshape(oc, -1)
     out = (cols @ wmat.T).reshape(n, ho, wo, oc).transpose(0, 3, 1, 2)
@@ -123,28 +109,14 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         db = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
         dx = None
         if x.requires_grad:
-            # Scatter-add each tap's columns onto the padded input in (i, j)
-            # order. Channels-last accumulation streams runs of wo * c values
-            # instead of wo; it is slower only where rows outrun channels
-            # (the 3-channel stem at full resolution), so those stay planar.
-            # Either way the arrays are indexed (tap, n, c, y, x).
+            # Scatter-add each tap's columns onto the channels-last padded
+            # input in tap order, then transpose once to N x C x H x W.
             taps = (g2 @ wmat).reshape(n, ho, wo, c, kh * kw)
-            hp, wp = h + 2 * pad, w + 2 * pad
-            if c >= wo:
-                taps = np.ascontiguousarray(taps.transpose(4, 0, 1, 2, 3)).transpose(0, 1, 4, 2, 3)
-                dxp = np.zeros((n, hp, wp, c), dtype=g.dtype).transpose(0, 3, 1, 2)
-            else:
-                taps = np.ascontiguousarray(taps.transpose(4, 0, 3, 1, 2))
-                dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[
-                        :,
-                        :,
-                        i * dil : i * dil + (ho - 1) * stride + 1 : stride,
-                        j * dil : j * dil + (wo - 1) * stride + 1 : stride,
-                    ] += taps[i * kw + j]
-            dx = np.ascontiguousarray(dxp[:, :, pad : pad + h, pad : pad + w])
+            taps = np.ascontiguousarray(taps.transpose(4, 0, 1, 2, 3))
+            dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=g.dtype)
+            for t, (rows, cs) in enumerate(windows):
+                dxp[:, rows, cs] += taps[t]
+            dx = np.ascontiguousarray(dxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2))
         if bias is not None:
             return dx, dw, db
         return dx, dw

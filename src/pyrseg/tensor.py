@@ -113,9 +113,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def scale(self, s: float) -> "Tensor":
-        return mul(self, float(s))
-
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis)
 

@@ -1,7 +1,12 @@
 """Checkpoint byte format: round-trips, corruption detection, census gating."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pyrseg import checkpoint as ckpt
 from pyrseg.backbone import BackboneConfig
@@ -68,15 +73,12 @@ def test_flipped_byte_rejected_by_crc():
 def test_bad_magic_rejected():
     blob = bytearray(ckpt.serialize(_entries(), 1, 0))
     blob[:4] = b"XXXX"
-    blob[-4:] = __import__("struct").pack("<I", __import__("zlib").crc32(bytes(blob[:-4])))
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
     with pytest.raises(ValueError, match="magic"):
         ckpt.deserialize(bytes(blob))
 
 
 def test_out_of_order_entries_rejected():
-    import struct
-    import zlib
-
     out = bytearray()
     out += ckpt.MAGIC
     out += struct.pack("<IQQI", ckpt.FORMAT_VERSION, 0, 0, 2)
@@ -88,6 +90,46 @@ def test_out_of_order_entries_rejected():
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     with pytest.raises(ValueError, match="out of order"):
         ckpt.deserialize(bytes(out))
+
+
+def _crc_valid_blob(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_entry_size_overflowing_int64_names_the_entry():
+    # dims (2**31 + 1, 2**32 - 1): 4 * their product exceeds int64, so a
+    # wrapped count would be negative and move the cursor backwards.
+    body = bytearray(ckpt.MAGIC + struct.pack("<IQQI", ckpt.FORMAT_VERSION, 0, 0, 1))
+    body += struct.pack("<H", 4) + b"huge" + struct.pack("<BB", 0, 2)
+    body += struct.pack("<2I", 2**31 + 1, 2**32 - 1) + np.zeros(4, "<f4").tobytes()
+    want = 4 * (2**31 + 1) * (2**32 - 1)
+    with pytest.raises(ValueError, match=f"truncated checkpoint: entry 'huge' wanted {want} bytes"):
+        ckpt.deserialize(_crc_valid_blob(bytes(body)))
+
+
+def test_reader_rejects_negative_take():
+    r = ckpt._Reader(memoryview(b"abcd"))
+    r.take(2)
+    with pytest.raises(ValueError, match="negative"):
+        r.take(-1)
+    assert r.pos == 2
+
+
+_FUZZ_BLOB = ckpt.serialize(_entries(seed=4), 3, 9)
+
+
+@given(st.integers(0, len(_FUZZ_BLOB) - 1))
+def test_any_truncation_raises_value_error(cut):
+    with pytest.raises(ValueError):
+        ckpt.deserialize(_FUZZ_BLOB[:cut])
+
+
+@given(st.integers(0, 8 * len(_FUZZ_BLOB) - 1))
+def test_any_bit_flip_raises_value_error(bit):
+    blob = bytearray(_FUZZ_BLOB)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(ValueError):
+        ckpt.deserialize(bytes(blob))
 
 
 def test_zero_dim_input_promoted_to_length_one():
