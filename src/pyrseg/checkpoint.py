@@ -11,6 +11,13 @@ Single little-endian file, byte-identical for identical state:
 Optimizer momentum buffers live under an "optim/" prefix; BN running stats
 under their layer names. The name/shape census, not the config hash, decides
 whether a load is accepted.
+
+A load reads the file in order: one pass streams the CRC over the body in
+fixed-size chunks and then indexes each entry's name, dims and data offset;
+the census runs on that index; only then is each entry's data read straight
+into its model array or velocity. No whole-file buffer, no per-entry copy and
+no throwaway init, so a load needs about params + velocities of memory.
+deserialize runs the same parser over an in-memory file.
 """
 
 from __future__ import annotations
@@ -20,15 +27,17 @@ import io
 import math
 import os
 import struct
+import sys
 import zlib
 
 import numpy as np
 
-from .model import ModelConfig, PSPNet, build_model
+from .model import ModelConfig, PSPNet
 
 MAGIC = b"PSPC"
 FORMAT_VERSION = 1
 _DTYPE_F32 = 0
+_CHUNK = 1 << 16  # bytes per read of the CRC pass
 
 OPTIM_PREFIX = "optim/"
 AUX_PREFIX = "aux/"
@@ -76,51 +85,71 @@ def serialize(entries: dict[str, np.ndarray], iteration: int, cfg_hash: int) -> 
 
 
 class _Reader:
-    """Bounds-checked cursor over a memoryview; takes are views, not copies."""
+    """Bounds-checked cursor over the first `end` bytes of a binary file."""
 
-    def __init__(self, data: memoryview) -> None:
-        self.data = data
+    def __init__(self, f, end: int) -> None:
+        self.f = f
+        self.end = end
         self.pos = 0
 
-    def take(self, n: int, what: str = "") -> memoryview:
+    def skip(self, n: int, what: str = "") -> int:
+        """Move past n bytes; returns the offset they start at."""
         if n < 0:
             raise ValueError(f"negative read of {n} bytes at offset {self.pos}")
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.end:
             raise ValueError(
                 f"truncated checkpoint: {what + ' ' if what else ''}wanted {n} bytes "
-                f"at offset {self.pos}, file holds {len(self.data)}"
+                f"at offset {self.pos}, file holds {self.end}"
             )
-        chunk = self.data[self.pos:self.pos + n]
+        start = self.pos
         self.pos += n
-        return chunk
+        return start
+
+    def take(self, n: int, what: str = "") -> bytes:
+        self.f.seek(self.skip(n, what))
+        return self.f.read(n)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
-    """Returns (entries, iteration, stored config hash). Validates CRC first."""
-    view = memoryview(data)
-    if len(view) < len(MAGIC) + struct.calcsize("<IQQI") + 4:
-        raise ValueError(f"truncated checkpoint: {len(view)} bytes")
-    body = view[:-4]
-    stored_crc = struct.unpack("<I", view[-4:])[0]
-    actual_crc = zlib.crc32(body)
+def _index(f) -> tuple[dict[str, tuple[tuple[int, ...], int]], int, int]:
+    """Validate the file f and index its entries without reading their data.
+
+    The CRC is checked first, streamed over the body in _CHUNK-byte reads,
+    so every later error is about an intact file. Returns
+    ({name: (dims, data offset)} in file order, iteration, config hash).
+    """
+    size = f.seek(0, os.SEEK_END)
+    if size < len(MAGIC) + struct.calcsize("<IQQI") + 4:
+        raise ValueError(f"truncated checkpoint: {size} bytes")
+    end = size - 4
+    f.seek(0)
+    buf = memoryview(bytearray(min(_CHUNK, end)))
+    actual_crc = 0
+    left = end
+    while left:
+        n = f.readinto(buf[:min(left, len(buf))])
+        if not n:
+            raise ValueError("checkpoint file changed while loading")
+        actual_crc = zlib.crc32(buf[:n], actual_crc)
+        left -= n
+    (stored_crc,) = struct.unpack("<I", f.read(4))
     if stored_crc != actual_crc:
         raise ValueError(
             f"checkpoint CRC mismatch: stored {stored_crc:08x}, computed {actual_crc:08x}"
         )
-    r = _Reader(body)
+    r = _Reader(f, end)
     if r.take(4) != MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     version, iteration, cfg_hash, count = r.unpack("<IQQI")
     if version != FORMAT_VERSION:
         raise ValueError(f"unknown checkpoint format version {version}")
-    entries: dict[str, np.ndarray] = {}
+    index: dict[str, tuple[tuple[int, ...], int]] = {}
     prev = None
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = str(r.take(nlen), "utf-8")
+        name = r.take(nlen).decode("utf-8")
         if prev is not None and not name > prev:
             raise ValueError(f"entry names out of order: {name!r} after {prev!r}")
         prev = name
@@ -129,11 +158,28 @@ def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
             raise ValueError(f"unknown dtype tag {dtype_tag} for entry {name!r}")
         dims = r.unpack(f"<{rank}I")
         # Python ints: a product of u32 dims must not wrap.
-        raw = r.take(4 * math.prod(dims), f"entry {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
-        entries[name] = arr.astype(np.float32)
-    if r.pos != len(r.data):
-        raise ValueError(f"{len(r.data) - r.pos} trailing bytes after last entry")
+        index[name] = dims, r.skip(4 * math.prod(dims), f"entry {name!r}")
+    if r.pos != end:
+        raise ValueError(f"{end - r.pos} trailing bytes after last entry")
+    return index, iteration, cfg_hash
+
+
+def _read_into(f, offset: int, dest: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float32 array dest from the entry data at offset."""
+    f.seek(offset)
+    if f.readinto(dest.reshape(-1).view(np.uint8)) != dest.nbytes:
+        raise ValueError("checkpoint file changed while loading")
+    if sys.byteorder == "big":
+        dest.byteswap(inplace=True)
+    return dest
+
+
+def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
+    """Returns (entries, iteration, stored config hash). Validates CRC first."""
+    f = io.BytesIO(data)
+    index, iteration, cfg_hash = _index(f)
+    entries = {name: _read_into(f, offset, np.empty(dims, np.float32))
+               for name, (dims, offset) in index.items()}
     return entries, iteration, cfg_hash
 
 
@@ -153,11 +199,12 @@ def save(path: str, model: PSPNet, optim_state: dict[str, np.ndarray] | None,
         raise
 
 
-def _census_diff(expected: dict[str, np.ndarray], found: dict[str, np.ndarray]) -> str | None:
+def _census_diff(expected: dict[str, tuple[int, ...]],
+                 found: dict[str, tuple[int, ...]]) -> str | None:
+    """Compare two {name: shape} maps; None when they agree."""
     missing = sorted(set(expected) - set(found))
     extra = sorted(set(found) - set(expected))
-    mis = sorted(n for n in set(expected) & set(found)
-                 if expected[n].shape != found[n].shape)
+    mis = sorted(n for n in set(expected) & set(found) if expected[n] != found[n])
     if not (missing or extra or mis):
         return None
     parts = []
@@ -166,7 +213,7 @@ def _census_diff(expected: dict[str, np.ndarray], found: dict[str, np.ndarray]) 
     if extra:
         parts.append("unexpected: " + ", ".join(extra))
     for n in mis:
-        parts.append(f"shape of {n}: checkpoint {found[n].shape} vs model {expected[n].shape}")
+        parts.append(f"shape of {n}: checkpoint {found[n]} vs model {expected[n]}")
     return "census mismatch; " + "; ".join(parts)
 
 
@@ -176,35 +223,35 @@ def load(path: str, cfg: ModelConfig, allow_prune: bool = False,
 
     allow_prune drops aux-branch entries ("aux/..." and "optim/aux/...") that
     the target config has no home for; any other census difference is an error.
+
+    The file is checked and indexed first, then the census runs, and only
+    then is each entry read straight into its parameter, buffer or a new
+    velocity array. The census proves that every parameter and buffer is
+    overwritten, so the model is never initialised and seed does not affect
+    the result; it is kept for callers that pass it.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    entries, iteration, _ = deserialize(data)
+        index, iteration, _ = _index(f)
+        model = PSPNet(cfg)
+        params = {n: p.data for n, p in model.named_parameters()}
+        targets = {**params, **dict(model.named_buffers())}
+        expected = {n: a.shape for n, a in targets.items()}
+        if any(n.startswith(OPTIM_PREFIX) for n in index):
+            expected.update({OPTIM_PREFIX + n: a.shape for n, a in params.items()})
 
-    model = build_model(cfg, seed=seed)
-    params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    expected: dict[str, np.ndarray] = {n: p.data for n, p in params.items()}
-    expected.update(buffers)
-    if any(n.startswith(OPTIM_PREFIX) for n in entries):
-        expected.update({OPTIM_PREFIX + n: p.data for n, p in params.items()})
+        if allow_prune:
+            for n in [n for n in index if n not in expected
+                      and n.startswith((AUX_PREFIX, OPTIM_PREFIX + AUX_PREFIX))]:
+                del index[n]
+        diff = _census_diff(expected, {n: dims for n, (dims, _) in index.items()})
+        if diff is not None:
+            raise ValueError(diff)
 
-    if allow_prune:
-        prunable = [n for n in entries
-                    if (n.startswith(AUX_PREFIX) or n.startswith(OPTIM_PREFIX + AUX_PREFIX))
-                    and n not in expected]
-        for n in prunable:
-            del entries[n]
-    diff = _census_diff(expected, entries)
-    if diff is not None:
-        raise ValueError(diff)
-
-    optim_state: dict[str, np.ndarray] = {}
-    for name, arr in entries.items():
-        if name.startswith(OPTIM_PREFIX):
-            optim_state[name[len(OPTIM_PREFIX):]] = arr
-        elif name in buffers:
-            buffers[name][...] = arr
-        else:
-            params[name].data[...] = arr
+        optim_state: dict[str, np.ndarray] = {}
+        for name, (dims, offset) in index.items():
+            if name.startswith(OPTIM_PREFIX):
+                dest = optim_state[name[len(OPTIM_PREFIX):]] = np.empty(dims, np.float32)
+            else:
+                dest = targets[name]
+            _read_into(f, offset, dest)
     return model, optim_state, iteration

@@ -56,10 +56,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     resume_from = cfg.resume or cfg.checkpoint
     if resume_from:
         model, velocity, start_iter = ckpt_mod.load(resume_from, mcfg, seed=cfg.seed)
-        sgd = SGD(dict(model.named_parameters()), ocfg)
-        if velocity:
-            for name in sgd.velocity:
-                sgd.velocity[name][...] = velocity[name]
+        # a weights-only checkpoint has no velocities: they start at zero
+        sgd = SGD(dict(model.named_parameters()), ocfg, velocity or None)
         print(f"resumed iteration={start_iter} checkpoint={resume_from}")
     else:
         model = build_model(mcfg, seed=cfg.seed)

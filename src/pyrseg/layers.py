@@ -104,8 +104,9 @@ class Conv2d(Module):
                  stride: int = 1, padding: int = 0, dilation: int = 1,
                  bias: bool = False) -> None:
         super().__init__()
-        weight = self.add_param("weight", np.zeros((out_channels, in_channels, kernel, kernel)))
-        b = self.add_param("bias", np.zeros(out_channels)) if bias else None
+        weight = self.add_param("weight", np.zeros((out_channels, in_channels, kernel, kernel),
+                                                   np.float32))
+        b = self.add_param("bias", np.zeros(out_channels, np.float32)) if bias else None
         self.params = ops.Conv2dParams(weight=weight, bias=b, stride=stride,
                                        padding=padding, dilation=dilation)
 
@@ -118,10 +119,10 @@ class BatchNorm2d(Module):
                  zero_init: bool = False) -> None:
         super().__init__()
         self.zero_init = zero_init
-        gamma = self.add_param("gamma", np.ones(channels))
-        beta = self.add_param("beta", np.zeros(channels))
-        rm = self.add_buffer("running_mean", np.zeros(channels))
-        rv = self.add_buffer("running_var", np.ones(channels))
+        gamma = self.add_param("gamma", np.ones(channels, np.float32))
+        beta = self.add_param("beta", np.zeros(channels, np.float32))
+        rm = self.add_buffer("running_mean", np.zeros(channels, np.float32))
+        rv = self.add_buffer("running_var", np.ones(channels, np.float32))
         self.params = ops.BatchNormParams(gamma=gamma, beta=beta, running_mean=rm,
                                           running_var=rv, momentum=momentum, epsilon=epsilon)
 

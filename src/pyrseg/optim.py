@@ -49,14 +49,23 @@ def poly_lr(iteration: int, cfg: OptimConfig) -> float:
 
 
 class SGD:
-    """Velocity state is keyed by parameter name for checkpointing."""
+    """Velocity state is keyed by parameter name for checkpointing.
 
-    def __init__(self, named_params: dict[str, Tensor], cfg: OptimConfig) -> None:
+    velocity, if given, holds one array per parameter, of its shape, and the
+    SGD updates those arrays in place (a resume passes the ones that
+    checkpoint.load returned); otherwise every velocity starts at zero.
+    """
+
+    def __init__(self, named_params: dict[str, Tensor], cfg: OptimConfig,
+                 velocity: dict[str, np.ndarray] | None = None) -> None:
         self.cfg = cfg
         self.params = dict(named_params)
-        self.velocity: dict[str, np.ndarray] = {
-            name: np.zeros_like(p.data) for name, p in self.params.items()
-        }
+        if velocity is None:
+            velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        elif ({n: v.shape for n, v in velocity.items()}
+              != {n: p.shape for n, p in self.params.items()}):
+            raise ValueError("velocity must hold one array per parameter, of its shape")
+        self.velocity: dict[str, np.ndarray] = dict(velocity)
         self._scratch = np.empty(_BLOCK, dtype=np.float32)
 
     def step(self, lr: float) -> None:

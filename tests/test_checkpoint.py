@@ -1,15 +1,20 @@
 """Checkpoint byte format: round-trips, corruption detection, census gating."""
 
+import io
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pyrseg import checkpoint as ckpt
+from pyrseg import layers
+from pyrseg import model as model_mod
 from pyrseg.backbone import BackboneConfig
+from pyrseg.config import load_config
 from pyrseg.model import ModelConfig, build_model
 from pyrseg.optim import SGD, OptimConfig
 from pyrseg.pyramid import PyramidConfig
@@ -108,7 +113,7 @@ def test_entry_size_overflowing_int64_names_the_entry():
 
 
 def test_reader_rejects_negative_take():
-    r = ckpt._Reader(memoryview(b"abcd"))
+    r = ckpt._Reader(io.BytesIO(b"abcd"), 4)
     r.take(2)
     with pytest.raises(ValueError, match="negative"):
         r.take(-1)
@@ -116,20 +121,69 @@ def test_reader_rejects_negative_take():
 
 
 _FUZZ_BLOB = ckpt.serialize(_entries(seed=4), 3, 9)
+_FIRST_DATA = 28 + 2 + 2 + 2 + 8  # header, then entry "p0": name, tag and rank, two dims
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.pspc"
+
+
+def _rejects_like_deserialize(blob: bytes, path) -> None:
+    """deserialize and load, from a file, both reject blob with one message."""
+    with pytest.raises(ValueError) as want:
+        ckpt.deserialize(blob)
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as got:
+        ckpt.load(str(path), _cfg())
+    assert str(got.value) == str(want.value)
 
 
 @given(st.integers(0, len(_FUZZ_BLOB) - 1))
-def test_any_truncation_raises_value_error(cut):
-    with pytest.raises(ValueError):
-        ckpt.deserialize(_FUZZ_BLOB[:cut])
+@example(cut=_FIRST_DATA + 3)
+@example(cut=len(_FUZZ_BLOB) - 4)
+def test_any_truncation_raises_value_error(fuzz_path, cut):
+    _rejects_like_deserialize(_FUZZ_BLOB[:cut], fuzz_path)
 
 
 @given(st.integers(0, 8 * len(_FUZZ_BLOB) - 1))
-def test_any_bit_flip_raises_value_error(bit):
+@example(bit=0)  # magic
+@example(bit=8 * 24)  # entry count
+@example(bit=8 * 30 + 1)  # first entry's name
+@example(bit=8 * (_FIRST_DATA + 5))  # first entry's data
+@example(bit=8 * len(_FUZZ_BLOB) - 1)  # stored CRC
+def test_any_bit_flip_raises_value_error(fuzz_path, bit):
     blob = bytearray(_FUZZ_BLOB)
     blob[bit // 8] ^= 1 << (bit % 8)
-    with pytest.raises(ValueError):
-        ckpt.deserialize(bytes(blob))
+    _rejects_like_deserialize(bytes(blob), fuzz_path)
+
+
+def _model_blob(extra: bytes = b"") -> bytes:
+    """A CRC-valid checkpoint of a _cfg() model, extra bytes before its CRC."""
+    model = build_model(_cfg(), seed=4)
+    body = ckpt.serialize(ckpt._state_entries(model, None), 2, 0)[:-4] + extra
+    return _crc_valid_blob(body)
+
+
+def test_trailing_bytes_rejected_by_load_and_deserialize(fuzz_path):
+    fuzz_path.write_bytes(_model_blob())
+    assert ckpt.load(str(fuzz_path), _cfg())[2] == 2
+    _rejects_like_deserialize(_model_blob(b"\0" * 4), fuzz_path)
+    with pytest.raises(ValueError, match="4 trailing bytes after last entry"):
+        ckpt.deserialize(_model_blob(b"\0" * 4))
+
+
+def test_crc_valid_header_faults_rejected_by_load_and_deserialize(fuzz_path):
+    blob = _model_blob()
+    first_dims = 28 + 2 + struct.unpack("<H", blob[28:30])[0] + 2
+    for at, value, match in ((4, 2, "format version 2"),
+                             (first_dims - 2, 1, "unknown dtype tag 1"),
+                             (first_dims + 3, 0x7F, "truncated checkpoint: entry")):
+        body = bytearray(blob[:-4])
+        body[at] = value
+        _rejects_like_deserialize(_crc_valid_blob(bytes(body)), fuzz_path)
+        with pytest.raises(ValueError, match=match):
+            ckpt.deserialize(_crc_valid_blob(bytes(body)))
 
 
 def test_zero_dim_input_promoted_to_length_one():
@@ -164,6 +218,73 @@ def test_model_save_load_round_trip(tmp_path):
         assert np.array_equal(b1, b2)
     for name in sgd.velocity:
         assert np.array_equal(vel[name], sgd.velocity[name])
+
+
+def _owned_f32(arr: np.ndarray) -> bool:
+    """What SGD.step needs of a parameter or velocity, and no view of a file buffer."""
+    f = arr.flags
+    return arr.dtype == np.float32 and f.owndata and f.writeable and f.c_contiguous
+
+
+def test_load_skips_init_and_returns_owned_arrays(tmp_path, monkeypatch):
+    cfg = _cfg(aux=True)
+    model = build_model(cfg, seed=5)
+    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    for i, v in enumerate(sgd.velocity.values()):
+        v += np.float32(0.25 * (i + 1))
+    for _, b in model.named_buffers():
+        b += np.float32(0.5)
+    full, weights = tmp_path / "full.pspc", tmp_path / "weights.pspc"
+    ckpt.save(str(full), model, sgd.velocity, 4)
+    ckpt.save(str(weights), model, None, 4)
+
+    def no_init(*args):
+        raise AssertionError("load must not initialise the parameters it overwrites")
+
+    monkeypatch.setattr(layers, "init_parameters", no_init)
+    monkeypatch.setattr(model_mod, "init_parameters", no_init)
+    saved = dict(model.named_parameters())
+    saved_buffers = dict(model.named_buffers())
+    for path, target, prune in ((full, cfg, False), (weights, cfg, False),
+                                (full, _cfg(aux=False), True)):
+        loaded, velocity, it = ckpt.load(str(path), target, allow_prune=prune)
+        assert it == 4
+        names = {n for n, _ in loaded.named_parameters()}
+        assert names == {n for n in saved if not prune or not n.startswith("aux/")}
+        for n, p in loaded.named_parameters():
+            assert p.data.tobytes() == saved[n].data.tobytes() and _owned_f32(p.data)
+        for n, b in loaded.named_buffers():
+            assert b.tobytes() == saved_buffers[n].tobytes() and _owned_f32(b)
+        if path == weights:
+            assert velocity == {}
+            continue
+        assert set(velocity) == names
+        for n, v in velocity.items():
+            assert v.tobytes() == sgd.velocity[n].tobytes() and _owned_f32(v)
+
+
+def test_load_peak_memory_is_params_plus_velocities(tmp_path):
+    rc = load_config(None, {})
+    cfg = rc.to_model_config()
+    model = build_model(cfg, seed=0)
+    sgd = SGD(dict(model.named_parameters()), rc.to_optim_config())
+    path = tmp_path / "toy.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 1)
+    state = (sum(p.data.nbytes for p in model.parameters())
+             + sum(b.nbytes for _, b in model.named_buffers())
+             + sum(v.nbytes for v in sgd.velocity.values()))
+    del model, sgd
+    # slack: the model's Python objects and one read chunk; no second copy
+    # of the state (the file, per-entry copies or an init's draws) fits
+    slack = 512 * 1024
+    tracemalloc.start()
+    try:
+        loaded = ckpt.load(str(path), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded[2] == 1
+    assert peak <= state + slack, f"load peaked at {peak} bytes for {state} bytes of state"
 
 
 def test_saved_files_byte_identical_across_saves(tmp_path):

@@ -189,3 +189,17 @@ def test_sgd_rejects_non_contiguous_state():
     p.data = np.asfortranarray(p.data)
     with pytest.raises(RuntimeError, match="parameter w must be a C-contiguous"):
         sgd.step(0.1)
+
+
+def test_sgd_updates_the_velocity_arrays_it_is_given():
+    params = {"w": Tensor(np.ones(3, np.float32), requires_grad=True)}
+    vel = {"w": np.full(3, 0.5, np.float32)}
+    sgd = SGD(params, OptimConfig(momentum=0.9, weight_decay=0.0), velocity=vel)
+    assert sgd.velocity["w"] is vel["w"]
+    params["w"].grad = np.ones(3, np.float32)
+    sgd.step(0.1)
+    assert np.array_equal(vel["w"], np.full(3, np.float32(0.5) * np.float32(0.9) + 1))
+    with pytest.raises(ValueError, match="one array per parameter"):
+        SGD(params, OptimConfig(), velocity={"w": np.zeros(4, np.float32)})
+    with pytest.raises(ValueError, match="one array per parameter"):
+        SGD(params, OptimConfig(), velocity={})
