@@ -163,5 +163,5 @@ def receptive_field_probe(cfg: BackboneConfig, input_size: int = 256) -> int:
             p.data[...] = np.abs(p.data) + 0.01
         elif name.endswith("/gamma"):
             p.data[...] = 1.0
-    model.eval()  # BN becomes identity: running stats are still (0, 1)
+    model.train(False)  # BN becomes identity: running stats are still (0, 1)
     return impulse_footprint(lambda t: model(t)[0], input_size)

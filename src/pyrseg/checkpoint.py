@@ -228,7 +228,7 @@ def load(path: str, cfg: ModelConfig, allow_prune: bool = False,
     then is each entry read straight into its parameter, buffer or a new
     velocity array. The census proves that every parameter and buffer is
     overwritten, so the model is never initialised and seed does not affect
-    the result; it is kept for callers that pass it.
+    the result; it stays only because perfbench/run.py passes it.
     """
     with open(path, "rb") as f:
         index, iteration, _ = _index(f)

@@ -24,7 +24,7 @@ from .training import train_loop
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "max_iter", None) is not None:
         overrides["max_iter"] = args.max_iter
@@ -32,9 +32,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         overrides["checkpoint"] = args.checkpoint
     if getattr(args, "scales", None) is not None:
         overrides["scales"] = tuple(float(s) for s in args.scales.split(","))
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         overrides["out_dir"] = args.out
-    cfg = load_config(getattr(args, "config", None), overrides)
+    cfg = load_config(args.config, overrides)
     print(format_config(cfg), end="")
     return cfg
 
@@ -55,7 +55,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     ocfg = cfg.to_optim_config()
     resume_from = cfg.resume or cfg.checkpoint
     if resume_from:
-        model, velocity, start_iter = ckpt_mod.load(resume_from, mcfg, seed=cfg.seed)
+        model, velocity, start_iter = ckpt_mod.load(resume_from, mcfg)
         # a weights-only checkpoint has no velocities: they start at zero
         sgd = SGD(dict(model.named_parameters()), ocfg, velocity or None)
         print(f"resumed iteration={start_iter} checkpoint={resume_from}")
@@ -91,7 +91,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("eval needs data_dir")
     samples = load_dataset(cfg.data_dir, cfg.num_classes)
     model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(),
-                                allow_prune=args.allow_prune, seed=cfg.seed)
+                                allow_prune=args.allow_prune)
     cm = evaluate(model, samples, cfg.num_classes, scales=cfg.scales,
                   min_size=cfg.min_scale_size)
     text, csv = per_class_report(cm, _class_names(cfg.num_classes))
@@ -110,7 +110,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not cfg.checkpoint:
         raise ValueError("predict needs --checkpoint")
     model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(),
-                                allow_prune=args.allow_prune, seed=cfg.seed)
+                                allow_prune=args.allow_prune)
     img = read_ppm(args.image).astype(np.float32) / 255.0
     img = np.ascontiguousarray(img.transpose(2, 0, 1))
     _, h, w = img.shape
@@ -186,27 +186,31 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--max-iter", type=int, dest="max_iter")
-    common.add_argument("--checkpoint")
-    common.add_argument("--scales", help="comma-separated, e.g. 0.75,1.0,1.25")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--force", action="store_true")
-    common.add_argument("--allow-prune", action="store_true", dest="allow_prune")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value config file")
+    config.add_argument("--seed", type=int)
+    config.add_argument("--out", help="output directory")
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument("--checkpoint")
+    infer = argparse.ArgumentParser(add_help=False)
+    infer.add_argument("--scales", help="comma-separated, e.g. 0.75,1.0,1.25")
+    infer.add_argument("--allow-prune", action="store_true", dest="allow_prune")
 
     parser = argparse.ArgumentParser(prog="pyrseg",
                                      description="pyramid scene parsing at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common]).set_defaults(fn=cmd_train)
-    sub.add_parser("eval", parents=[common]).set_defaults(fn=cmd_eval)
-    p = sub.add_parser("predict", parents=[common])
+    p = sub.add_parser("train", parents=[config, checkpoint])
+    p.add_argument("--max-iter", type=int, dest="max_iter")
+    p.set_defaults(fn=cmd_train)
+    sub.add_parser("eval", parents=[config, checkpoint, infer]).set_defaults(fn=cmd_eval)
+    p = sub.add_parser("predict", parents=[config, checkpoint, infer])
     p.add_argument("image", help="input PPM")
     p.set_defaults(fn=cmd_predict)
-    sub.add_parser("ablate", parents=[common]).set_defaults(fn=cmd_ablate)
-    sub.add_parser("gradcheck", parents=[common]).set_defaults(fn=cmd_gradcheck)
-    sub.add_parser("synth", parents=[common]).set_defaults(fn=cmd_synth)
+    sub.add_parser("ablate", parents=[config]).set_defaults(fn=cmd_ablate)
+    sub.add_parser("gradcheck").set_defaults(fn=cmd_gradcheck)
+    p = sub.add_parser("synth", parents=[config])
+    p.add_argument("--force", action="store_true")
+    p.set_defaults(fn=cmd_synth)
     return parser
 
 

@@ -55,7 +55,6 @@ class AugmentConfig:
     blur_sigma_range: tuple[float, float] = (0.3, 1.0)
     crop_size: int = 64
     pad_value_image: tuple[float, float, float] = (0.5, 0.5, 0.5)
-    pad_value_label: int = IGNORE_LABEL
 
     def __post_init__(self) -> None:
         lo, hi = self.resize_range
@@ -184,10 +183,9 @@ def _source_span(coords: np.ndarray, extent: int) -> tuple[int, int]:
 
 
 def _rotate_window(img: np.ndarray, labels: np.ndarray, sy: np.ndarray, sx: np.ndarray,
-                   hw: tuple[int, int], origin: tuple[int, int],
-                   ignore: int) -> tuple[np.ndarray, np.ndarray]:
+                   hw: tuple[int, int], origin: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Sample a rotated h x w map at source coordinates (sy, sx): bilinear and
-    edge-clamped for the image, nearest with `ignore` outside for the labels.
+    edge-clamped for the image, nearest with IGNORE_LABEL outside for the labels.
 
     img/labels hold the map's rows and cols from `origin` on, covering every
     tap (see _source_span).
@@ -219,16 +217,16 @@ def _rotate_window(img: np.ndarray, labels: np.ndarray, sy: np.ndarray, sx: np.n
     ci = np.clip(np.rint(sx).astype(np.int64), 0, w - 1) - left
     lab = labels[ri, ci]
     outside = (sy < -0.5) | (sy > h - 0.5) | (sx < -0.5) | (sx > w - 0.5)
-    lab = np.where(outside, np.uint8(ignore), lab)
+    lab = np.where(outside, np.uint8(IGNORE_LABEL), lab)
     return np.ascontiguousarray(out), np.ascontiguousarray(lab)
 
 
-def rotate_pair(img: np.ndarray, labels: np.ndarray, degrees: float,
-                ignore: int = IGNORE_LABEL) -> tuple[np.ndarray, np.ndarray]:
+def rotate_pair(img: np.ndarray, labels: np.ndarray,
+                degrees: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotate about the center: bilinear/edge-clamp image, nearest/ignore labels."""
     _, h, w = img.shape
     sy, sx = _rotation_source(h, w, degrees, (0, h), (0, w))
-    return _rotate_window(img, labels, sy, sx, (h, w), (0, 0), ignore)
+    return _rotate_window(img, labels, sy, sx, (h, w), (0, 0))
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -260,7 +258,7 @@ def _pad_to(img: np.ndarray, labels: np.ndarray, size: int,
     canvas = np.empty((3, ph, pw), dtype=img.dtype)
     canvas[...] = np.asarray(cfg.pad_value_image, dtype=img.dtype)[:, None, None]
     canvas[:, :h, :w] = img
-    lcanvas = np.full((ph, pw), cfg.pad_value_label, dtype=labels.dtype)
+    lcanvas = np.full((ph, pw), IGNORE_LABEL, dtype=labels.dtype)
     lcanvas[:h, :w] = labels
     return canvas, lcanvas
 
@@ -313,7 +311,7 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: np.random.Generator) -> 
     img, lab = _rotate_window(
         resize_image(img, (oh, ow), span_rows, span_cols),
         resize_labels(lab, (oh, ow), span_rows, span_cols),
-        sy, sx, (oh, ow), (span_rows[0], span_cols[0]), cfg.pad_value_label,
+        sy, sx, (oh, ow), (span_rows[0], span_cols[0]),
     )
     keep_rows = slice(rows[0] - area_rows[0], rows[1] - area_rows[0])
     keep_cols = slice(cols[0] - area_cols[0], cols[1] - area_cols[0])

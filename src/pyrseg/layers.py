@@ -60,16 +60,10 @@ class Module:
             for name, b in mod._buffers.items():
                 yield (f"{root}/{name}" if root else name), b
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def train(self, mode: bool = True) -> "Module":
         for _, mod in self.named_modules():
             mod.training = mode
         return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
@@ -115,8 +109,7 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, epsilon: float = 1e-5,
-                 zero_init: bool = False) -> None:
+    def __init__(self, channels: int, zero_init: bool = False) -> None:
         super().__init__()
         self.zero_init = zero_init
         gamma = self.add_param("gamma", np.ones(channels, np.float32))
@@ -124,7 +117,7 @@ class BatchNorm2d(Module):
         rm = self.add_buffer("running_mean", np.zeros(channels, np.float32))
         rv = self.add_buffer("running_var", np.ones(channels, np.float32))
         self.params = ops.BatchNormParams(gamma=gamma, beta=beta, running_mean=rm,
-                                          running_var=rv, momentum=momentum, epsilon=epsilon)
+                                          running_var=rv)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.batch_norm(x, self.params, self.training)

@@ -204,8 +204,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return (None,)
         rows = arg // kernel + np.arange(ho)[None, None, :, None] * stride
         cols = arg % kernel + np.arange(wo)[None, None, None, :] * stride
         dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
@@ -258,8 +256,6 @@ def adaptive_pool(x: Tensor, bins: int | tuple[int, int], mode: str = "average")
                 argcols[:, :, i, j] = c0 + arg % (c1 - c0)
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return (None,)
         dx = np.zeros_like(x.data)
         if mode == "average":
             for i, (r0, r1) in enumerate(rows):
@@ -319,8 +315,6 @@ def bilinear_upsample(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     out = left + cf[None, None, None, :] * (rows[:, :, :, c1] - left)
 
     def backward_fn(g):
-        if not x.requires_grad:
-            return (None,)
         rmat = _interp_matrix(h, ho, dt)
         cmat = _interp_matrix(w, wo, dt)
         tmpg = np.moveaxis(np.tensordot(rmat.T, g, axes=(1, 2)), 0, 2)
@@ -385,8 +379,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore: int = 255)
         loss = np.asarray(-(logp_true * mask).sum() / nvalid, dtype=z.dtype)
 
     def backward_fn(g):
-        if not logits.requires_grad:
-            return (None,)
         if nvalid == 0:
             return (np.zeros_like(z),)
         grad = e / sume

@@ -12,14 +12,14 @@ are freed by refcount as soon as they are used; no reference cycle keeps
 an iteration's tape alive until the cyclic GC runs. Training memory is
 therefore one iteration's tape, and a walked graph holds no nodes.
 
-Gradients land in .grad, which must be empty at backward time: call
-zero_grad first. Re-running backward without zeroing raises instead of
-silently accumulating, and a graph can only be walked once.
+Gradients land in .grad, which must be empty at backward time: clear it
+first (via SGD.zero_grad). Re-running backward without clearing raises
+instead of silently accumulating, and a graph can only be walked once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,11 +178,6 @@ def _set_grad(t: Tensor, garr: np.ndarray) -> None:
     if t.grad is not None:
         raise RuntimeError("tensor already holds a gradient; call zero_grad before backward")
     t.grad = np.ascontiguousarray(garr, dtype=t.data.dtype)
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # -- primitive ops ----------------------------------------------------------

@@ -20,7 +20,7 @@ def _toy(**overrides):
     cfg = preset("toy", **overrides)
     model = Backbone(cfg)
     init_parameters(model, seed=0)
-    model.eval()
+    model.train(False)
     return model, cfg
 
 
@@ -82,7 +82,7 @@ def test_zeroed_residual_branch_is_identity():
     # shortcut the block reduces to ReLU(x) = x for non-negative input.
     block = Bottleneck(8, 8, 2, stride=1, dilation=1, zero_init_bn=False)
     init_parameters(block, seed=0)
-    block.eval()
+    block.train(False)
     for name, p in block.named_parameters():
         if name == "bn3/gamma":
             p.data[...] = 0.0

@@ -270,7 +270,7 @@ def test_load_peak_memory_is_params_plus_velocities(tmp_path):
     sgd = SGD(dict(model.named_parameters()), rc.to_optim_config())
     path = tmp_path / "toy.pspc"
     ckpt.save(str(path), model, sgd.velocity, 1)
-    state = (sum(p.data.nbytes for p in model.parameters())
+    state = (sum(p.data.nbytes for _, p in model.named_parameters())
              + sum(b.nbytes for _, b in model.named_buffers())
              + sum(v.nbytes for v in sgd.velocity.values()))
     del model, sgd
@@ -333,7 +333,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, fault):
     ckpt.save(str(path), model, None, 3)
     before = path.read_bytes()
 
-    for p in model.parameters():
+    for _, p in model.named_parameters():
         p.data += 1.0
     if fault == "serialize":
         def boom(f, *args):

@@ -1,5 +1,7 @@
 """End-to-end command flows in a temp directory, driven through main()."""
 
+import argparse
+import ast
 import re
 import subprocess
 import sys
@@ -230,3 +232,56 @@ def test_readme_quickstart_commands_parse():
     assert [c[0] for c in commands] == ["synth", "train", "eval", "predict"]
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+# Every flag the parser knows, with a value it accepts.
+_FLAG_ARGS = {"--config": ["run.cfg"], "--seed": ["1"], "--out": ["out"],
+              "--max-iter": ["3"], "--checkpoint": ["c.pspc"], "--scales": ["1.0"],
+              "--allow-prune": [], "--force": []}
+_CONFIG_FLAGS = {"--config", "--seed", "--out"}
+_COMMAND_FLAGS = {
+    "train": _CONFIG_FLAGS | {"--max-iter", "--checkpoint"},
+    "eval": _CONFIG_FLAGS | {"--checkpoint", "--scales", "--allow-prune"},
+    "predict": _CONFIG_FLAGS | {"--checkpoint", "--scales", "--allow-prune"},
+    "ablate": _CONFIG_FLAGS,
+    "gradcheck": set(),
+    "synth": _CONFIG_FLAGS | {"--force"},
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in _COMMAND_FLAGS for f in _FLAG_ARGS])
+def test_each_command_accepts_only_the_flags_it_reads(command, flag):
+    argv = [command, flag, *_FLAG_ARGS[flag]] + (["img.ppm"] if command == "predict" else [])
+    if flag in _COMMAND_FLAGS[command]:
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+def test_benchmark_command_lines_parse():
+    # Each `bench.cli([...])` list in perfbench/workloads.py, with every
+    # computed element (a path or a seed) stood in for by "1".
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    argvs = [[e.value if isinstance(e, ast.Constant) else "1" for e in call.args[0].elts]
+             for call in ast.walk(ast.parse(source))
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+             and call.func.attr == "cli" and isinstance(call.args[0], ast.List)]
+    assert sorted({a[0] for a in argvs}) == ["ablate", "eval", "train"]
+    for argv in argvs:
+        build_parser().parse_args(argv)
+
+
+def test_readme_cli_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"## CLI\n+\| command \| flags \| purpose \|\n\|[- |]+\|\n(.*?)\n\n",
+                      readme, re.S).group(1)
+    documented = {}
+    for row in table.splitlines():
+        command, flags = row.split("|")[1:3]
+        documented[command.strip(" `").split()[0]] = set(re.findall(r"--[\w-]+", flags))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed

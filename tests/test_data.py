@@ -138,7 +138,7 @@ def _augment_whole_map(sample, cfg, rng):
     oh, ow = max(1, round(h * scale)), max(1, round(w * scale))
     img, lab = resize_image(img, (oh, ow)), resize_labels(lab, (oh, ow))
     degrees = float(rng.uniform(-cfg.rotation_deg, cfg.rotation_deg))
-    img, lab = rotate_pair(img, lab, degrees, cfg.pad_value_label)
+    img, lab = rotate_pair(img, lab, degrees)
     if rng.random() < cfg.blur_prob:
         img = gaussian_blur(img, float(rng.uniform(*cfg.blur_sigma_range)))
     if rng.random() < cfg.mirror_prob:

@@ -30,7 +30,7 @@ def _batch(rng, n=2, size=16, k=3):
 
 def test_forward_train_losses_and_weighting():
     rng = np.random.default_rng(0)
-    model = build_model(_tiny(aux_weight=0.4), seed=0).eval()
+    model = build_model(_tiny(aux_weight=0.4), seed=0).train(False)
     x, labels = _batch(rng)
     with Graph():
         total, main, aux = model.forward_train(Tensor(x), labels)
@@ -57,7 +57,7 @@ def test_both_losses_reach_shared_backbone():
     x, labels = _batch(rng)
 
     def stem_grad(aux_scale):
-        for p in model.parameters():
+        for _, p in model.named_parameters():
             p.grad = None
         with Graph():
             total, main, aux = model.forward_train(Tensor(x), labels)

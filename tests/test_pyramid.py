@@ -15,7 +15,7 @@ from pyrseg.tensor import Tensor
 def _module(c, cfg, seed=0):
     m = PyramidPooling(c, cfg)
     init_parameters(m, seed=seed)
-    m.eval()
+    m.train(False)
     return m
 
 

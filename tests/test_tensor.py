@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from pyrseg import ops
 from pyrseg.tensor import (
     Graph,
     Tensor,
@@ -14,7 +15,6 @@ from pyrseg.tensor import (
     matmul,
     tmean,
     tsum,
-    zero_grad,
 )
 
 
@@ -43,6 +43,25 @@ def test_no_recording_without_requires_grad():
     with Graph() as g:
         _ = (a * 2.0).sum()
     assert g.nodes == []
+
+
+# The single-input ops' backward closures assume their input requires grad:
+# record_op must not tape them otherwise.
+@pytest.mark.parametrize("op", [
+    ops.relu,
+    lambda x: ops.max_pool2d(x, 3, 2, 1),
+    lambda x: ops.adaptive_pool(x, 2, "average"),
+    lambda x: ops.adaptive_pool(x, 2, "max"),
+    lambda x: ops.bilinear_upsample(x, (8, 8)),
+    lambda x: ops.softmax_cross_entropy(x, np.zeros((1, 4, 4), np.int64)),
+], ids=["relu", "max_pool2d", "adaptive_pool-average", "adaptive_pool-max",
+        "bilinear_upsample", "softmax_cross_entropy"])
+def test_single_input_ops_record_nothing_without_requires_grad(op):
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4, 4)))
+    with Graph() as g:
+        out = op(x)
+    assert g.nodes == []
+    assert not out.requires_grad and out.graph is None
 
 
 def test_backward_scalar_root_only():
@@ -103,7 +122,7 @@ def test_backward_needs_explicit_zero():
         loss = (a * 3.0).sum()
         with pytest.raises(RuntimeError, match="zero_grad"):
             backward(loss)
-    zero_grad([a])
+    a.grad = None
     assert a.grad is None
     with Graph():
         backward((a * 3.0).sum())
@@ -116,7 +135,7 @@ def test_grads_do_not_accumulate_across_graphs():
     with Graph():
         backward((a * 5.0).sum())
     first = a.grad.copy()
-    zero_grad([a])
+    a.grad = None
     with Graph():
         backward((a * 5.0).sum())
     assert np.array_equal(first, a.grad)
