@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 
-from .data import resize_image
+from .data import IGNORE_LABEL, resize_image
 from .model import PSPNet, Prediction
 from .tensor import Tensor
 
@@ -14,11 +14,10 @@ DEFAULT_SCALES = (0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 class ConfusionMatrix:
-    """counts[g][p] = pixels with ground truth g predicted p; ignore excluded."""
+    """counts[g][p] = pixels with ground truth g predicted p; IGNORE_LABEL excluded."""
 
-    def __init__(self, num_classes: int, ignore: int = 255) -> None:
+    def __init__(self, num_classes: int) -> None:
         self.num_classes = num_classes
-        self.ignore = ignore
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def accumulate(self, pred: np.ndarray, gt: np.ndarray) -> None:
@@ -27,7 +26,7 @@ class ConfusionMatrix:
         if pred.shape != gt.shape:
             raise ValueError(f"dim mismatch: pred {pred.shape} vs gt {gt.shape}")
         k = self.num_classes
-        valid = gt != self.ignore
+        valid = gt != IGNORE_LABEL
         g = gt[valid].astype(np.int64)
         p = pred[valid].astype(np.int64)
         if g.size and (g.min() < 0 or g.max() >= k):
@@ -39,7 +38,7 @@ class ConfusionMatrix:
     def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if other.num_classes != self.num_classes:
             raise ValueError("merging matrices of different class counts")
-        out = ConfusionMatrix(self.num_classes, self.ignore)
+        out = ConfusionMatrix(self.num_classes)
         out.counts = self.counts + other.counts
         return out
 
@@ -138,8 +137,8 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
 
 
 def evaluate(model: PSPNet, samples, num_classes: int, scales=(1.0,),
-             min_size: int = 64, ignore: int = 255) -> ConfusionMatrix:
-    cm = ConfusionMatrix(num_classes, ignore)
+             min_size: int = 64) -> ConfusionMatrix:
+    cm = ConfusionMatrix(num_classes)
     for sample in samples:
         pred = multi_scale_infer(model, sample.image, scales, min_size)
         cm.accumulate(pred.label_map, sample.labels)

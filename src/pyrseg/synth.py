@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SegSample
+from .data import IGNORE_LABEL, SegSample
 
 # Stream tag for per-sample generators; changing it regenerates every corpus.
 _SYNTH_STREAM = 7
@@ -134,7 +134,7 @@ def _void_boundary_ring(labels: np.ndarray) -> None:
     xdif = labels[:, :-1] != labels[:, 1:]
     edge[:, :-1] |= xdif
     edge[:, 1:] |= xdif
-    labels[edge] = 255
+    labels[edge] = IGNORE_LABEL
 
 
 def synth_generate(cfg: SynthConfig, n: int) -> list[SegSample]:

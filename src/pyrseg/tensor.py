@@ -6,6 +6,14 @@ every op that touches a requires_grad tensor appends one node to the tape.
 backward(loss) replays the tape exactly once, in reverse recorded order,
 summing gradients where a tensor fans out to several consumers.
 
+The engine holds only the ops that PSPNet's training tape and the gradient
+checker record. Defined here: `add` and `mul` of two Tensors of equal shape
+(no broadcasting; a mismatch raises ValueError), `mul` by a number (the
+auxiliary loss weight), and `tsum`, the full reduction to a 0-d tensor onto
+which the checker projects. `Tensor + number` is a TypeError. The network
+ops (conv2d, batch_norm, relu, max_pool2d, adaptive_pool, bilinear_upsample,
+concat_channels, softmax_cross_entropy) live in ops.py.
+
 backward pops each node off the tape as it walks it, so a node's closure,
 the arrays it captured, its intermediate output and that output's .grad
 are freed by refcount as soon as they are used; no reference cycle keeps
@@ -104,23 +112,15 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
+        if not isinstance(other, Tensor):
+            return NotImplemented
         return add(self, other)
-
-    __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def sum(self, axis=None) -> "Tensor":
-        return tsum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return tmean(self, axis)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
+    def sum(self) -> "Tensor":
+        return tsum(self)
 
 
 def record_op(
@@ -183,92 +183,29 @@ def _set_grad(t: Tensor, garr: np.ndarray) -> None:
 # -- primitive ops ----------------------------------------------------------
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def _check_broadcast(a: tuple[int, ...], b: tuple[int, ...]) -> None:
-    try:
-        np.broadcast_shapes(a, b)
-    except ValueError:
-        raise ValueError(f"shape mismatch: {a} vs {b}") from None
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, like=a)
-    _check_broadcast(a.shape, b.shape)
-    data = a.data + b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return record_op(data, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float, np.floating)):
-        s = float(b)
-        return record_op(a.data * s, (a,), lambda g: (g * s,))
-    _check_broadcast(a.shape, b.shape)
-    data = a.data * b.data
-
-    def backward_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return record_op(data, (a, b), backward_fn)
-
-
-def tsum(a: Tensor, axis=None) -> Tensor:
-    data = a.data.sum(axis=axis)
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gx = np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.shape).copy(),)
-
-    return record_op(np.asarray(data), (a,), backward_fn)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in np.atleast_1d(axis)]))
-    data = a.data.mean(axis=axis)
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gx = np.expand_dims(g / count, axis)
-        return (np.broadcast_to(gx, a.shape).copy(),)
-
-    return record_op(np.asarray(data), (a,), backward_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+def _check_same_shape(a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
 
-    def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
 
-    return record_op(data, (a, b), backward_fn)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b)
+    return record_op(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """Elementwise product with an equal-shape Tensor, or scaling by a number."""
+    if isinstance(b, Tensor):
+        _check_same_shape(a, b)
+        return record_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    s = float(b)
+    return record_op(a.data * s, (a,), lambda g: (g * s,))
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    return record_op(np.asarray(a.data.sum()), (a,),
+                     lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def finite_diff_check(f, xs: Sequence[Tensor], eps: float = 1e-6) -> float:

@@ -1,6 +1,13 @@
 """Test-session settings shared by every test module."""
 
+import os
 import tempfile
+
+# One BLAS thread per process unless the caller chose otherwise. OpenBLAS
+# reads this once, when numpy loads, so it is set before anything imports
+# numpy. A busy machine makes multi-threaded OpenBLAS collapse (see the
+# README's Testing section); alone, both settings take about the same time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
