@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AugmentConfig, SegSample
+from .data import AugmentConfig, SegBatch, SegSample
 from .metrics import evaluate, mean_iou, pixel_accuracy
 from .model import ModelConfig, build_model
 from .optim import SGD, OptimConfig
@@ -44,11 +44,15 @@ class AblationRow:
 def train_and_eval(name: str, cfg: ModelConfig, train_samples: list[SegSample],
                    test_samples: list[SegSample], optim_cfg: OptimConfig,
                    aug_cfg: AugmentConfig, *, seed: int, batch_size: int,
-                   workers: int = 1) -> AblationRow:
+                   workers: int = 1,
+                   batches: dict[int, SegBatch] | None = None) -> AblationRow:
+    """Train one cell and evaluate it. `batches` is shared by the cells of
+    one seed (see `training.batch_for_iteration`)."""
     model = build_model(cfg, seed=seed)
     sgd = SGD(dict(model.named_parameters()), optim_cfg)
     history = train_loop(model, sgd, train_samples, aug_cfg, optim_cfg,
-                         seed=seed, batch_size=batch_size, workers=workers)
+                         seed=seed, batch_size=batch_size, workers=workers,
+                         batches=batches)
     cm = evaluate(model, test_samples, cfg.num_classes)
     probe = min(10, len(history) - 1)
     return AblationRow(
@@ -65,19 +69,53 @@ def variant_config(base: ModelConfig, variant: AblationVariant) -> ModelConfig:
     return replace(base, pyramid=variant.pyramid)
 
 
-def _run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
-               optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *, seeds,
-               batch_size: int, workers: int, progress) -> list[AblationRow]:
-    """One row per (cell, seed), cells outermost, in the order given."""
-    rows = []
-    for name, cfg in cells:
-        for seed in seeds:
-            row = train_and_eval(name, cfg, train_samples, test_samples,
-                                 optim_cfg, aug_cfg, seed=seed,
-                                 batch_size=batch_size, workers=workers)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+def variant_cells(base: ModelConfig, variants: list[AblationVariant] | None = None
+                  ) -> list[tuple[str, ModelConfig]]:
+    if variants is None:
+        variants = psp_ablation_variants()
+    return [(v.name, variant_config(base, v)) for v in variants]
+
+
+def alpha_cells(base: ModelConfig, alphas=ALPHA_SWEEP) -> list[tuple[str, ModelConfig]]:
+    """alpha=0 trains without the auxiliary branch entirely; the trunk update
+    sequence is identical either way, so the rows stay comparable."""
+    return [(f"alpha={alpha:g}", replace(base, aux_enabled=alpha != 0.0, aux_weight=alpha))
+            for alpha in alphas]
+
+
+def run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
+              optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *, seeds,
+              batch_size: int, workers: int, progress) -> list[AblationRow]:
+    """One row per (cell, seed), cells outermost, in the order given.
+
+    Cells train with seeds outermost: the first cell of a seed builds its
+    batches and the other cells of that seed reuse them, so one seed's
+    batches are held at a time. A cell whose config and seed match a cell
+    already run is not trained again; it gets that row under its own name.
+    `progress` sees each row in the returned order, as soon as every row
+    before it is done, so with several seeds it is called in bursts.
+    """
+    seeds = list(seeds)
+    rows: list[AblationRow | None] = [None] * (len(cells) * len(seeds))
+    reported = 0
+    for s, seed in enumerate(seeds):
+        batches: dict[int, SegBatch] = {}
+        trained: list[tuple[ModelConfig, AblationRow]] = []
+        for c, (name, cfg) in enumerate(cells):
+            twin = next((row for seen, row in trained if seen == cfg), None)
+            if twin is None:
+                row = train_and_eval(name, cfg, train_samples, test_samples,
+                                     optim_cfg, aug_cfg, seed=seed,
+                                     batch_size=batch_size, workers=workers,
+                                     batches=batches)
+                trained.append((cfg, row))
+            else:
+                row = replace(twin, name=name)
+            rows[c * len(seeds) + s] = row
+            while reported < len(rows) and rows[reported] is not None:
+                if progress is not None:
+                    progress(rows[reported])
+                reported += 1
     return rows
 
 
@@ -86,26 +124,18 @@ def run_variant_grid(base: ModelConfig, train_samples, test_samples,
                      seeds, batch_size: int, workers: int = 1,
                      variants: list[AblationVariant] | None = None,
                      progress=None) -> list[AblationRow]:
-    if variants is None:
-        variants = psp_ablation_variants()
-    cells = [(v.name, variant_config(base, v)) for v in variants]
-    return _run_cells(cells, train_samples, test_samples, optim_cfg, aug_cfg,
-                      seeds=seeds, batch_size=batch_size, workers=workers,
-                      progress=progress)
+    return run_cells(variant_cells(base, variants), train_samples, test_samples,
+                     optim_cfg, aug_cfg, seeds=seeds, batch_size=batch_size,
+                     workers=workers, progress=progress)
 
 
 def run_alpha_sweep(base: ModelConfig, train_samples, test_samples,
                     optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
                     seeds, batch_size: int, workers: int = 1,
                     alphas=ALPHA_SWEEP, progress=None) -> list[AblationRow]:
-    """alpha=0 trains without the auxiliary branch entirely; the trunk update
-    sequence is identical either way, so the rows stay comparable."""
-    cells = [(f"alpha={alpha:g}",
-              replace(base, aux_enabled=alpha != 0.0, aux_weight=alpha))
-             for alpha in alphas]
-    return _run_cells(cells, train_samples, test_samples, optim_cfg, aug_cfg,
-                      seeds=seeds, batch_size=batch_size, workers=workers,
-                      progress=progress)
+    return run_cells(alpha_cells(base, alphas), train_samples, test_samples,
+                     optim_cfg, aug_cfg, seeds=seeds, batch_size=batch_size,
+                     workers=workers, progress=progress)
 
 
 def summarize(rows: list[AblationRow]) -> list[tuple[str, float, float, float, float]]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ops
 from .layers import BatchNorm2d, Conv2d, Module, ModuleList
 from .tensor import Tensor
@@ -136,32 +134,3 @@ class Backbone(Module):
                 tap = y
         return y, tap
 
-
-def impulse_footprint(forward_fn, size: int, channels: int = 3) -> int:
-    """Nonzero output extent of a centered impulse, mapped to input pixels."""
-    x = np.zeros((1, channels, size, size), dtype=np.float32)
-    x[:, :, size // 2, size // 2] = 1.0
-    out = forward_fn(Tensor(x))
-    plane = np.abs(out.data[0]).max(axis=0)
-    rows = np.flatnonzero(plane.any(axis=1))
-    cols = np.flatnonzero(plane.any(axis=0))
-    if rows.size == 0:
-        return 0
-    extent = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
-    scale = size // plane.shape[0]
-    return min(int(extent) * scale, size)
-
-
-def receptive_field_probe(cfg: BackboneConfig, input_size: int = 256) -> int:
-    """Positive-weight impulse probe; reports footprint capped by the canvas."""
-    from .layers import init_parameters
-
-    model = Backbone(cfg)
-    init_parameters(model, seed=0)
-    for name, p in model.named_parameters():
-        if name.endswith("/weight"):
-            p.data[...] = np.abs(p.data) + 0.01
-        elif name.endswith("/gamma"):
-            p.data[...] = 1.0
-    model.train(False)  # BN becomes identity: running stats are still (0, 1)
-    return impulse_footprint(lambda t: model(t)[0], input_size)

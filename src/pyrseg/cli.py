@@ -149,12 +149,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"run variant={row.name} seed={row.seed} "
               f"mean_iou={row.mean_iou:.4f} pixel_acc={row.pixel_acc:.4f}")
 
-    variant_rows = ablate_mod.run_variant_grid(
-        base, train_samples, test_samples, ocfg, acfg, seeds=seeds,
-        batch_size=cfg.batch_size, workers=cfg.workers, progress=progress)
-    alpha_rows = ablate_mod.run_alpha_sweep(
-        base, train_samples, test_samples, ocfg, acfg, seeds=seeds,
-        batch_size=cfg.batch_size, workers=cfg.workers, progress=progress)
+    variant_cells = ablate_mod.variant_cells(base)
+    rows = ablate_mod.run_cells(
+        variant_cells + ablate_mod.alpha_cells(base), train_samples, test_samples,
+        ocfg, acfg, seeds=seeds, batch_size=cfg.batch_size, workers=cfg.workers,
+        progress=progress)
+    split = len(variant_cells) * len(seeds)
+    variant_rows, alpha_rows = rows[:split], rows[split:]
 
     print(ablate_mod.format_table(variant_rows, "pooling variants"), end="")
     print(ablate_mod.format_table(alpha_rows, "aux weight sweep"), end="")

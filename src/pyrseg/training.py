@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import AugmentConfig, SegSample, augment_all, collate
+from .data import AugmentConfig, SegBatch, SegSample, augment_all, collate
 from .model import PSPNet
 from .optim import SGD, OptimConfig, poly_lr
 from .tensor import Graph, Tensor, backward
@@ -42,8 +42,18 @@ def augment_rng(seed: int, iteration: int, slot: int) -> np.random.Generator:
 
 
 def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
-                        iteration: int, aug_cfg: AugmentConfig, workers: int = 1):
-    """Deterministic batch for one global iteration index."""
+                        iteration: int, aug_cfg: AugmentConfig, workers: int = 1,
+                        batches: dict[int, SegBatch] | None = None) -> SegBatch:
+    """Deterministic batch for one global iteration index.
+
+    `batches` maps iterations to batches already built for these same
+    samples, batch size, seed and augmentation config. A hit is returned as
+    it is; a miss is built, made read-only and stored, so every caller that
+    shares the dict trains on the same arrays and none can alter them for
+    the others.
+    """
+    if batches is not None and iteration in batches:
+        return batches[iteration]
     n = len(samples)
     if n == 0:
         raise ValueError("empty dataset")
@@ -55,14 +65,23 @@ def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
     ids = order[slot * batch_size : slot * batch_size + batch_size]
     picked = [samples[int(i)] for i in ids]
     rngs = [augment_rng(seed, iteration, j) for j in range(len(picked))]
-    return collate(augment_all(picked, aug_cfg, rngs, workers))
+    batch = collate(augment_all(picked, aug_cfg, rngs, workers))
+    if batches is not None:
+        batch.images.flags.writeable = False
+        batch.labels.flags.writeable = False
+        batches[iteration] = batch
+    return batch
 
 
 def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
                aug_cfg: AugmentConfig, optim_cfg: OptimConfig, *, seed: int,
                batch_size: int, start_iter: int = 0, workers: int = 1,
-               on_iteration: Callable[[IterStats], None] | None = None) -> list[IterStats]:
+               on_iteration: Callable[[IterStats], None] | None = None,
+               batches: dict[int, SegBatch] | None = None) -> list[IterStats]:
     """Run iterations [start_iter, max_iter); returns per-iteration stats.
+
+    `batches` goes to `batch_for_iteration`: runs that share one dict (same
+    samples, seed, batch size and augmentation) build each batch once.
 
     on_iteration fires after the optimizer step, so a checkpoint taken there
     captures the state a fresh run would reach at the same index. A
@@ -74,7 +93,8 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
                          f"[0, {optim_cfg.max_iter}]")
     history: list[IterStats] = []
     for it in range(start_iter, optim_cfg.max_iter):
-        batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, workers)
+        batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, workers,
+                                    batches)
         lr = poly_lr(it, optim_cfg)
         with Graph():
             total, main, aux = model.forward_train(Tensor(batch.images), batch.labels)

@@ -1,6 +1,6 @@
 """Ablation harness plumbing at a seconds-scale budget."""
 
-import numpy as np
+from dataclasses import replace
 
 from pyrseg.ablate import (
     ALPHA_SWEEP,
@@ -8,6 +8,7 @@ from pyrseg.ablate import (
     format_csv,
     format_table,
     run_alpha_sweep,
+    run_cells,
     run_variant_grid,
     summarize,
     train_and_eval,
@@ -74,6 +75,36 @@ def test_run_variant_grid_rows_and_progress():
     assert [(r.name, r.seed) for r in rows] == [
         ("baseline", 0), ("baseline", 1), ("B1+AVE+DR", 0), ("B1+AVE+DR", 1)]
     assert seen == rows
+    # shared batches and seed-outermost order change no field of any row
+    alone = [train_and_eval(v.name, variant_config(_base_cfg(), v), train, test,
+                            ocfg, aug, seed=seed, batch_size=2)
+             for v in variants for seed in (0, 1)]
+    assert rows == alone
+
+
+def test_run_cells_trains_a_repeated_cell_once(monkeypatch):
+    import pyrseg.ablate as ablate_mod
+
+    train, test, ocfg, aug = _tiny_setup()
+    base = _base_cfg()
+    calls = []
+    real = ablate_mod.train_and_eval
+
+    def counting(name, cfg, *args, **kwargs):
+        calls.append((name, kwargs["seed"]))
+        return real(name, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(ablate_mod, "train_and_eval", counting)
+    cells = [("a", base), ("bare", replace(base, aux_enabled=False)), ("a-again", base)]
+    seen = []
+    rows = run_cells(cells, train, test, ocfg, aug, seeds=(0, 1), batch_size=2,
+                     workers=1, progress=seen.append)
+    assert calls == [("a", 0), ("bare", 0), ("a", 1), ("bare", 1)]
+    assert [(r.name, r.seed) for r in rows] == [
+        ("a", 0), ("a", 1), ("bare", 0), ("bare", 1), ("a-again", 0), ("a-again", 1)]
+    assert seen == rows
+    assert rows[4] == replace(rows[0], name="a-again")
+    assert rows[5] == replace(rows[1], name="a-again")
 
 
 def test_run_alpha_sweep_names_and_zero_alpha():

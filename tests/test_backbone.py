@@ -7,9 +7,7 @@ from pyrseg.backbone import (
     Backbone,
     BackboneConfig,
     Bottleneck,
-    impulse_footprint,
     preset,
-    receptive_field_probe,
 )
 from pyrseg.layers import init_parameters
 from pyrseg.ops import Conv2dParams, conv2d
@@ -89,6 +87,34 @@ def test_zeroed_residual_branch_is_identity():
     x = np.abs(np.random.default_rng(2).normal(size=(1, 8, 6, 6))).astype(np.float32)
     out = block(Tensor(x))
     assert np.allclose(out.data, x, atol=1e-6)
+
+
+def impulse_footprint(forward_fn, size: int, channels: int = 3) -> int:
+    """Nonzero output extent of a centered impulse, mapped to input pixels."""
+    x = np.zeros((1, channels, size, size), dtype=np.float32)
+    x[:, :, size // 2, size // 2] = 1.0
+    out = forward_fn(Tensor(x))
+    plane = np.abs(out.data[0]).max(axis=0)
+    rows = np.flatnonzero(plane.any(axis=1))
+    cols = np.flatnonzero(plane.any(axis=0))
+    if rows.size == 0:
+        return 0
+    extent = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
+    scale = size // plane.shape[0]
+    return min(int(extent) * scale, size)
+
+
+def receptive_field_probe(cfg: BackboneConfig, input_size: int = 256) -> int:
+    """Positive-weight impulse probe; reports footprint capped by the canvas."""
+    model = Backbone(cfg)
+    init_parameters(model, seed=0)
+    for name, p in model.named_parameters():
+        if name.endswith("/weight"):
+            p.data[...] = np.abs(p.data) + 0.01
+        elif name.endswith("/gamma"):
+            p.data[...] = 1.0
+    model.train(False)  # BN becomes identity: running stats are still (0, 1)
+    return impulse_footprint(lambda t: model(t)[0], input_size)
 
 
 def test_impulse_footprint_single_conv():

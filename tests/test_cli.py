@@ -204,6 +204,47 @@ def test_ablate_smoke(tmp_path, capsys):
     assert alpha_names == ["alpha=0", "alpha=0.3", "alpha=0.4", "alpha=0.6", "alpha=0.9"]
 
 
+def test_ablate_trains_each_distinct_cell_once(tmp_path, capsys, monkeypatch):
+    import pyrseg.ablate as ablate_mod
+    from pyrseg.synth import synth_generate
+
+    cfg = tmp_path / "ablate.cfg"
+    cfg.write_text("ablate_iters = 2\nablate_seeds = 1\nablate_train_n = 4\n"
+                   "ablate_test_n = 2\nbatch_size = 2\n")
+    calls = []
+    real = ablate_mod.train_and_eval
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ablate_mod, "train_and_eval", counting)
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("run variant=")]
+    assert len(calls) == 13
+    assert "alpha=0.4" not in calls  # the same config and seed as B1236+AVE+DR
+    variants = (out / "ablation_variants.csv").read_text()
+    alpha = (out / "ablation_alpha.csv").read_text()
+    rows = variants.splitlines()[1:] + alpha.splitlines()[1:]
+    assert len(rows) == 14
+    assert printed == [f"variant={row.split(',')[0]}" for row in rows]
+    by_name = {row.split(",")[0]: row.split(",")[1:] for row in rows}
+    assert by_name["alpha=0.4"] == by_name["B1236+AVE+DR"]
+
+    # byte-equal to the two grids run one after the other
+    monkeypatch.setattr(ablate_mod, "train_and_eval", real)
+    rc = load_config(str(cfg), {"seed": 3})
+    corpus = synth_generate(ablate_mod.context_dataset_config(3), 6)
+    args = (rc.to_model_config(), corpus[:4], corpus[4:],
+            rc.to_optim_config(max_iter=2), rc.to_augment_config())
+    assert variants == ablate_mod.format_csv(
+        ablate_mod.run_variant_grid(*args, seeds=(3,), batch_size=2))
+    assert alpha == ablate_mod.format_csv(
+        ablate_mod.run_alpha_sweep(*args, seeds=(3,), batch_size=2))
+
+
 def test_console_help_via_subprocess():
     proc = subprocess.run([sys.executable, "-m", "pyrseg.cli", "--help"],
                           capture_output=True, text=True)

@@ -53,6 +53,42 @@ def test_epoch_orders_differ_and_replay():
     assert not np.array_equal(a, epoch_order(1, 0, 50))
 
 
+def test_shared_batches_are_stored_read_only():
+    samples = _corpus()
+    shared = {}
+    first = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug(), batches=shared)
+    assert list(shared) == [7]
+    again = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug(), batches=shared)
+    assert again is first
+    fresh = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug())
+    assert np.array_equal(first.images, fresh.images)
+    assert np.array_equal(first.labels, fresh.labels)
+    assert fresh.images.flags.writeable
+    # one cached batch feeds every cell of a seed: an in-place write must fail
+    with pytest.raises(ValueError, match="read-only"):
+        first.images[0, 0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.labels += 1
+
+
+def test_shared_batches_train_the_same_bits():
+    samples = _corpus()
+    ocfg = OptimConfig(max_iter=3)
+    shared = {}
+    runs = []
+    for batches in (None, shared, shared):
+        cfg, model = _tiny_model()
+        sgd = SGD(dict(model.named_parameters()), ocfg)
+        hist = train_loop(model, sgd, samples, _aug(), ocfg, seed=2, batch_size=2,
+                          batches=batches)
+        runs.append(([h.total_loss for h in hist],
+                     {k: p.data.copy() for k, p in model.named_parameters()}))
+    assert sorted(shared) == [0, 1, 2]
+    for losses, params in runs[1:]:
+        assert losses == runs[0][0]
+        assert all(np.array_equal(params[k], runs[0][1][k]) for k in params)
+
+
 def test_batches_deterministic_and_worker_independent():
     samples = _corpus()
     one = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug(), workers=1)
