@@ -44,15 +44,13 @@ class AblationRow:
 def train_and_eval(name: str, cfg: ModelConfig, train_samples: list[SegSample],
                    test_samples: list[SegSample], optim_cfg: OptimConfig,
                    aug_cfg: AugmentConfig, *, seed: int, batch_size: int,
-                   workers: int = 1,
                    batches: dict[int, SegBatch] | None = None) -> AblationRow:
     """Train one cell and evaluate it. `batches` is shared by the cells of
     one seed (see `training.batch_for_iteration`)."""
     model = build_model(cfg, seed=seed)
     sgd = SGD(dict(model.named_parameters()), optim_cfg)
     history = train_loop(model, sgd, train_samples, aug_cfg, optim_cfg,
-                         seed=seed, batch_size=batch_size, workers=workers,
-                         batches=batches)
+                         seed=seed, batch_size=batch_size, batches=batches)
     cm = evaluate(model, test_samples, cfg.num_classes)
     probe = min(10, len(history) - 1)
     return AblationRow(
@@ -85,7 +83,7 @@ def alpha_cells(base: ModelConfig, alphas=ALPHA_SWEEP) -> list[tuple[str, ModelC
 
 def run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
               optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *, seeds,
-              batch_size: int, workers: int, progress) -> list[AblationRow]:
+              batch_size: int, progress) -> list[AblationRow]:
     """One row per (cell, seed), cells outermost, in the order given.
 
     Cells train with seeds outermost: the first cell of a seed builds its
@@ -106,8 +104,7 @@ def run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
             if twin is None:
                 row = train_and_eval(name, cfg, train_samples, test_samples,
                                      optim_cfg, aug_cfg, seed=seed,
-                                     batch_size=batch_size, workers=workers,
-                                     batches=batches)
+                                     batch_size=batch_size, batches=batches)
                 trained.append((cfg, row))
             else:
                 row = replace(twin, name=name)
@@ -121,21 +118,21 @@ def run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,
 
 def run_variant_grid(base: ModelConfig, train_samples, test_samples,
                      optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
-                     seeds, batch_size: int, workers: int = 1,
+                     seeds, batch_size: int,
                      variants: list[AblationVariant] | None = None,
                      progress=None) -> list[AblationRow]:
     return run_cells(variant_cells(base, variants), train_samples, test_samples,
                      optim_cfg, aug_cfg, seeds=seeds, batch_size=batch_size,
-                     workers=workers, progress=progress)
+                     progress=progress)
 
 
 def run_alpha_sweep(base: ModelConfig, train_samples, test_samples,
                     optim_cfg: OptimConfig, aug_cfg: AugmentConfig, *,
-                    seeds, batch_size: int, workers: int = 1,
-                    alphas=ALPHA_SWEEP, progress=None) -> list[AblationRow]:
+                    seeds, batch_size: int, alphas=ALPHA_SWEEP,
+                    progress=None) -> list[AblationRow]:
     return run_cells(alpha_cells(base, alphas), train_samples, test_samples,
                      optim_cfg, aug_cfg, seeds=seeds, batch_size=batch_size,
-                     workers=workers, progress=progress)
+                     progress=progress)
 
 
 def summarize(rows: list[AblationRow]) -> list[tuple[str, float, float, float, float]]:

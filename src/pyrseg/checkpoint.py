@@ -17,13 +17,11 @@ fixed-size chunks and then indexes each entry's name, dims and data offset;
 the census runs on that index; only then is each entry's data read straight
 into its model array or velocity. No whole-file buffer, no per-entry copy and
 no throwaway init, so a load needs about params + velocities of memory.
-deserialize runs the same parser over an in-memory file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
 import struct
@@ -76,12 +74,6 @@ def _serialize_into(f, entries: dict[str, np.ndarray], iteration: int, cfg_hash:
             + struct.pack(f"<{arr.ndim}I", *arr.shape))
         put(arr.astype("<f4", copy=False).reshape(-1).view(np.uint8))
     f.write(struct.pack("<I", crc))
-
-
-def serialize(entries: dict[str, np.ndarray], iteration: int, cfg_hash: int) -> bytes:
-    buf = io.BytesIO()
-    _serialize_into(buf, entries, iteration, cfg_hash)
-    return buf.getvalue()
 
 
 class _Reader:
@@ -172,15 +164,6 @@ def _read_into(f, offset: int, dest: np.ndarray) -> np.ndarray:
     if sys.byteorder == "big":
         dest.byteswap(inplace=True)
     return dest
-
-
-def deserialize(data: bytes) -> tuple[dict[str, np.ndarray], int, int]:
-    """Returns (entries, iteration, stored config hash). Validates CRC first."""
-    f = io.BytesIO(data)
-    index, iteration, cfg_hash = _index(f)
-    entries = {name: _read_into(f, offset, np.empty(dims, np.float32))
-               for name, (dims, offset) in index.items()}
-    return entries, iteration, cfg_hash
 
 
 def save(path: str, model: PSPNet, optim_state: dict[str, np.ndarray] | None,

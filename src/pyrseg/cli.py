@@ -77,7 +77,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     train_loop(model, sgd, samples, cfg.to_augment_config(), ocfg,
                seed=cfg.seed, batch_size=cfg.batch_size, start_iter=start_iter,
-               workers=cfg.workers, on_iteration=on_iteration)
+               on_iteration=on_iteration)
     ckpt_mod.save(str(final_path), model, sgd.velocity, ocfg.max_iter)
     print(f"checkpoint={final_path}")
     return 0
@@ -152,8 +152,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variant_cells = ablate_mod.variant_cells(base)
     rows = ablate_mod.run_cells(
         variant_cells + ablate_mod.alpha_cells(base), train_samples, test_samples,
-        ocfg, acfg, seeds=seeds, batch_size=cfg.batch_size, workers=cfg.workers,
-        progress=progress)
+        ocfg, acfg, seeds=seeds, batch_size=cfg.batch_size, progress=progress)
     split = len(variant_cells) * len(seeds)
     variant_rows, alpha_rows = rows[:split], rows[split:]
 

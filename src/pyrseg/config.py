@@ -66,6 +66,7 @@ class RunConfig:
     ckpt_every: int = 0             # 0 = final checkpoint only
     scales: tuple = (1.0,)
     min_scale_size: int = 64
+    # No effect; kept so the perfbench probe's `workers = 2` is not an unknown key.
     workers: int = 1
 
     # ablation harness budget

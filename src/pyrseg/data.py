@@ -2,15 +2,13 @@
 
 Augmentation draw order per sample is fixed (resize scale, rotation angle,
 blur coin, blur sigma, mirror coin, crop offsets) so a per-sample generator
-fully determines the result regardless of worker count.
+fully determines the result.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -327,17 +325,6 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: np.random.Generator) -> 
         img, lab = img[:, :, ::-1], lab[:, ::-1]
     img, lab = _pad_to(np.clip(img, 0.0, 1.0), lab, crop, cfg)
     return SegSample(np.ascontiguousarray(img), np.ascontiguousarray(lab))
-
-
-def augment_all(samples: list[SegSample], cfg: AugmentConfig,
-                rngs: list[np.random.Generator], workers: int = 1) -> list[SegSample]:
-    """Order-preserving map; each sample owns its generator, so the result
-    does not depend on the worker count. At most one thread per sample."""
-    workers = min(workers, len(samples))
-    if workers <= 1:
-        return [augment(s, cfg, r) for s, r in zip(samples, rngs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(augment, samples, repeat(cfg), rngs))
 
 
 # -- batches ------------------------------------------------------------------

@@ -20,6 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, record_op
 
+BN_MOMENTUM = 0.1  # running-stat update weight of the current batch
+BN_EPSILON = 1e-5
+
 
 @dataclass
 class Conv2dParams:
@@ -38,8 +41,6 @@ class BatchNormParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
 
 def conv_output_size(extent: int, kernel: int, stride: int, padding: int, dilation: int) -> int:
@@ -139,13 +140,13 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         centered = x.data - mean
         var = (centered * centered).mean(axis=(0, 2, 3))  # x.var's arithmetic
         mean = mean.reshape(c)
-        invstd = 1.0 / np.sqrt(var + p.epsilon)
+        invstd = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = centered * invstd[None, :, None, None]
         out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-        p.running_mean *= 1.0 - p.momentum
-        p.running_mean += p.momentum * mean
-        p.running_var *= 1.0 - p.momentum
-        p.running_var += p.momentum * var
+        p.running_mean *= 1.0 - BN_MOMENTUM
+        p.running_mean += BN_MOMENTUM * mean
+        p.running_var *= 1.0 - BN_MOMENTUM
+        p.running_var += BN_MOMENTUM * var
 
         def backward_fn(g):
             dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
@@ -163,7 +164,7 @@ def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         return record_op(out, (x, gamma, beta), backward_fn)
 
     # Inference: a fixed per-channel affine map from running stats.
-    invstd = 1.0 / np.sqrt(p.running_var + p.epsilon)
+    invstd = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
     xhat = (x.data - p.running_mean[None, :, None, None]) * invstd[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

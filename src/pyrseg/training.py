@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import AugmentConfig, SegBatch, SegSample, augment_all, collate
+from .data import AugmentConfig, SegBatch, SegSample, augment, collate
 from .model import PSPNet
 from .optim import SGD, OptimConfig, poly_lr
 from .tensor import Graph, Tensor, backward
@@ -42,7 +42,7 @@ def augment_rng(seed: int, iteration: int, slot: int) -> np.random.Generator:
 
 
 def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
-                        iteration: int, aug_cfg: AugmentConfig, workers: int = 1,
+                        iteration: int, aug_cfg: AugmentConfig,
                         batches: dict[int, SegBatch] | None = None) -> SegBatch:
     """Deterministic batch for one global iteration index.
 
@@ -64,8 +64,8 @@ def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
     order = epoch_order(seed, epoch, n)
     ids = order[slot * batch_size : slot * batch_size + batch_size]
     picked = [samples[int(i)] for i in ids]
-    rngs = [augment_rng(seed, iteration, j) for j in range(len(picked))]
-    batch = collate(augment_all(picked, aug_cfg, rngs, workers))
+    batch = collate([augment(s, aug_cfg, augment_rng(seed, iteration, j))
+                     for j, s in enumerate(picked)])
     if batches is not None:
         batch.images.flags.writeable = False
         batch.labels.flags.writeable = False
@@ -75,7 +75,7 @@ def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
 
 def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
                aug_cfg: AugmentConfig, optim_cfg: OptimConfig, *, seed: int,
-               batch_size: int, start_iter: int = 0, workers: int = 1,
+               batch_size: int, start_iter: int = 0,
                on_iteration: Callable[[IterStats], None] | None = None,
                batches: dict[int, SegBatch] | None = None) -> list[IterStats]:
     """Run iterations [start_iter, max_iter); returns per-iteration stats.
@@ -93,8 +93,7 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
                          f"[0, {optim_cfg.max_iter}]")
     history: list[IterStats] = []
     for it in range(start_iter, optim_cfg.max_iter):
-        batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, workers,
-                                    batches)
+        batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, batches)
         lr = poly_lr(it, optim_cfg)
         with Graph():
             total, main, aux = model.forward_train(Tensor(batch.images), batch.labels)

@@ -98,7 +98,7 @@ def test_run_cells_trains_a_repeated_cell_once(monkeypatch):
     cells = [("a", base), ("bare", replace(base, aux_enabled=False)), ("a-again", base)]
     seen = []
     rows = run_cells(cells, train, test, ocfg, aug, seeds=(0, 1), batch_size=2,
-                     workers=1, progress=seen.append)
+                     progress=seen.append)
     assert calls == [("a", 0), ("bare", 0), ("a", 1), ("bare", 1)]
     assert [(r.name, r.seed) for r in rows] == [
         ("a", 0), ("a", 1), ("bare", 0), ("bare", 1), ("a-again", 0), ("a-again", 1)]

@@ -40,50 +40,74 @@ def _entries(seed=0, n=3):
 # -- byte level ---------------------------------------------------------------
 
 
-def test_serialize_round_trip_bit_exact():
-    entries = _entries()
-    blob = ckpt.serialize(entries, 42, 7)
-    back, iteration, h = ckpt.deserialize(blob)
+def _blob(entries, iteration=0, cfg_hash=0) -> bytes:
+    """The bytes `save` writes for entries, built in memory."""
+    buf = io.BytesIO()
+    ckpt._serialize_into(buf, entries, iteration, cfg_hash)
+    return buf.getvalue()
+
+
+def _load_error(blob: bytes, path) -> str:
+    """The ValueError message `load` raises for blob written to path."""
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        ckpt.load(str(path), _cfg())
+    return str(err.value)
+
+
+def test_serialize_round_trip_bit_exact(tmp_path):
+    cfg = _cfg()
+    model = build_model(cfg, seed=3)
+    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    rng = np.random.default_rng(0)
+    for v in sgd.velocity.values():
+        v += rng.normal(size=v.shape).astype(np.float32)
+    for _, b in model.named_buffers():
+        b += rng.normal(size=b.shape).astype(np.float32)
+    path, again = tmp_path / "m.pspc", tmp_path / "again.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 42)
+    loaded, velocity, iteration = ckpt.load(str(path), cfg)
     assert iteration == 42
-    assert h == 7
+    with open(path, "rb") as f:
+        assert ckpt._index(f)[2] == ckpt.config_hash(cfg)
+    entries = ckpt._state_entries(model, sgd.velocity)
+    back = ckpt._state_entries(loaded, velocity)
     assert set(back) == set(entries)
     for k in entries:
         assert back[k].tobytes() == entries[k].tobytes()
     # identical state gives identical bytes
-    assert ckpt.serialize(entries, 42, 7) == blob
+    ckpt.save(str(again), loaded, velocity, iteration)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_serialize_sorted_and_insertion_order_free():
     a = {"b": np.zeros(1, np.float32), "a": np.ones(1, np.float32)}
     b = {"a": np.ones(1, np.float32), "b": np.zeros(1, np.float32)}
-    assert ckpt.serialize(a, 0, 0) == ckpt.serialize(b, 0, 0)
+    assert _blob(a) == _blob(b)
 
 
-def test_truncated_blob_rejected():
-    blob = ckpt.serialize(_entries(), 1, 0)
-    with pytest.raises(ValueError, match="truncated"):
-        ckpt.deserialize(blob[:10])
+def test_truncated_blob_rejected(tmp_path):
+    blob = _blob(_entries(), 1)
+    path = tmp_path / "f.pspc"
+    assert "truncated" in _load_error(blob[:10], path)
     # cutting anywhere mid-file breaks the CRC before anything else
-    with pytest.raises(ValueError, match="CRC"):
-        ckpt.deserialize(blob[:-5])
+    assert "CRC" in _load_error(blob[:-5], path)
 
 
-def test_flipped_byte_rejected_by_crc():
-    blob = bytearray(ckpt.serialize(_entries(), 1, 0))
+def test_flipped_byte_rejected_by_crc(tmp_path):
+    blob = bytearray(_blob(_entries(), 1))
     blob[len(blob) // 2] ^= 0x40
-    with pytest.raises(ValueError, match="CRC mismatch"):
-        ckpt.deserialize(bytes(blob))
+    assert "CRC mismatch" in _load_error(bytes(blob), tmp_path / "f.pspc")
 
 
-def test_bad_magic_rejected():
-    blob = bytearray(ckpt.serialize(_entries(), 1, 0))
+def test_bad_magic_rejected(tmp_path):
+    blob = bytearray(_blob(_entries(), 1))
     blob[:4] = b"XXXX"
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
-    with pytest.raises(ValueError, match="magic"):
-        ckpt.deserialize(bytes(blob))
+    assert "magic" in _load_error(bytes(blob), tmp_path / "f.pspc")
 
 
-def test_out_of_order_entries_rejected():
+def test_out_of_order_entries_rejected(tmp_path):
     out = bytearray()
     out += ckpt.MAGIC
     out += struct.pack("<IQQI", ckpt.FORMAT_VERSION, 0, 0, 2)
@@ -93,23 +117,22 @@ def test_out_of_order_entries_rejected():
         out += struct.pack("<BB", 0, 1) + struct.pack("<1I", 1)
         out += np.zeros(1, "<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
-    with pytest.raises(ValueError, match="out of order"):
-        ckpt.deserialize(bytes(out))
+    assert "out of order" in _load_error(bytes(out), tmp_path / "f.pspc")
 
 
 def _crc_valid_blob(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_entry_size_overflowing_int64_names_the_entry():
+def test_entry_size_overflowing_int64_names_the_entry(tmp_path):
     # dims (2**31 + 1, 2**32 - 1): 4 * their product exceeds int64, so a
     # wrapped count would be negative and move the cursor backwards.
     body = bytearray(ckpt.MAGIC + struct.pack("<IQQI", ckpt.FORMAT_VERSION, 0, 0, 1))
     body += struct.pack("<H", 4) + b"huge" + struct.pack("<BB", 0, 2)
     body += struct.pack("<2I", 2**31 + 1, 2**32 - 1) + np.zeros(4, "<f4").tobytes()
     want = 4 * (2**31 + 1) * (2**32 - 1)
-    with pytest.raises(ValueError, match=f"truncated checkpoint: entry 'huge' wanted {want} bytes"):
-        ckpt.deserialize(_crc_valid_blob(bytes(body)))
+    message = _load_error(_crc_valid_blob(bytes(body)), tmp_path / "f.pspc")
+    assert f"truncated checkpoint: entry 'huge' wanted {want} bytes" in message
 
 
 def test_reader_rejects_negative_take():
@@ -120,7 +143,7 @@ def test_reader_rejects_negative_take():
     assert r.pos == 2
 
 
-_FUZZ_BLOB = ckpt.serialize(_entries(seed=4), 3, 9)
+_FUZZ_BLOB = _blob(_entries(seed=4), 3, 9)
 _FIRST_DATA = 28 + 2 + 2 + 2 + 8  # header, then entry "p0": name, tag and rank, two dims
 
 
@@ -129,21 +152,11 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.pspc"
 
 
-def _rejects_like_deserialize(blob: bytes, path) -> None:
-    """deserialize and load, from a file, both reject blob with one message."""
-    with pytest.raises(ValueError) as want:
-        ckpt.deserialize(blob)
-    path.write_bytes(blob)
-    with pytest.raises(ValueError) as got:
-        ckpt.load(str(path), _cfg())
-    assert str(got.value) == str(want.value)
-
-
 @given(st.integers(0, len(_FUZZ_BLOB) - 1))
 @example(cut=_FIRST_DATA + 3)
 @example(cut=len(_FUZZ_BLOB) - 4)
 def test_any_truncation_raises_value_error(fuzz_path, cut):
-    _rejects_like_deserialize(_FUZZ_BLOB[:cut], fuzz_path)
+    _load_error(_FUZZ_BLOB[:cut], fuzz_path)
 
 
 @given(st.integers(0, 8 * len(_FUZZ_BLOB) - 1))
@@ -155,43 +168,40 @@ def test_any_truncation_raises_value_error(fuzz_path, cut):
 def test_any_bit_flip_raises_value_error(fuzz_path, bit):
     blob = bytearray(_FUZZ_BLOB)
     blob[bit // 8] ^= 1 << (bit % 8)
-    _rejects_like_deserialize(bytes(blob), fuzz_path)
+    _load_error(bytes(blob), fuzz_path)
 
 
 def _model_blob(extra: bytes = b"") -> bytes:
     """A CRC-valid checkpoint of a _cfg() model, extra bytes before its CRC."""
     model = build_model(_cfg(), seed=4)
-    body = ckpt.serialize(ckpt._state_entries(model, None), 2, 0)[:-4] + extra
+    body = _blob(ckpt._state_entries(model, None), 2)[:-4] + extra
     return _crc_valid_blob(body)
 
 
-def test_trailing_bytes_rejected_by_load_and_deserialize(fuzz_path):
+def test_trailing_bytes_rejected_by_load(fuzz_path):
     fuzz_path.write_bytes(_model_blob())
     assert ckpt.load(str(fuzz_path), _cfg())[2] == 2
-    _rejects_like_deserialize(_model_blob(b"\0" * 4), fuzz_path)
-    with pytest.raises(ValueError, match="4 trailing bytes after last entry"):
-        ckpt.deserialize(_model_blob(b"\0" * 4))
+    message = _load_error(_model_blob(b"\0" * 4), fuzz_path)
+    assert "4 trailing bytes after last entry" in message
 
 
-def test_crc_valid_header_faults_rejected_by_load_and_deserialize(fuzz_path):
+def test_crc_valid_header_faults_rejected_by_load(fuzz_path):
     blob = _model_blob()
     first_dims = 28 + 2 + struct.unpack("<H", blob[28:30])[0] + 2
-    for at, value, match in ((4, 2, "format version 2"),
-                             (first_dims - 2, 1, "unknown dtype tag 1"),
-                             (first_dims + 3, 0x7F, "truncated checkpoint: entry")):
+    for at, value, want in ((4, 2, "format version 2"),
+                            (first_dims - 2, 1, "unknown dtype tag 1"),
+                            (first_dims + 3, 0x7F, "truncated checkpoint: entry")):
         body = bytearray(blob[:-4])
         body[at] = value
-        _rejects_like_deserialize(_crc_valid_blob(bytes(body)), fuzz_path)
-        with pytest.raises(ValueError, match=match):
-            ckpt.deserialize(_crc_valid_blob(bytes(body)))
+        assert want in _load_error(_crc_valid_blob(bytes(body)), fuzz_path)
 
 
 def test_zero_dim_input_promoted_to_length_one():
     # model state is always rank >= 1; a stray 0-d array lands as shape (1,)
-    entries = {"s": np.float32(3.5).reshape(())}
-    back, _, _ = ckpt.deserialize(ckpt.serialize(entries, 0, 0))
-    assert back["s"].shape == (1,)
-    assert back["s"][0] == np.float32(3.5)
+    blob = _blob({"s": np.float32(3.5).reshape(())})
+    (dims, offset), = ckpt._index(io.BytesIO(blob))[0].values()
+    assert dims == (1,)
+    assert blob[offset:offset + 4] == np.array([3.5], "<f4").tobytes()
 
 
 # -- model level --------------------------------------------------------------
@@ -304,7 +314,7 @@ def test_save_writes_the_serialize_bytes(tmp_path):
     path = tmp_path / "m.pspc"
     ckpt.save(str(path), model, sgd.velocity, 5)
     entries = ckpt._state_entries(model, sgd.velocity)
-    assert path.read_bytes() == ckpt.serialize(entries, 5, ckpt.config_hash(model.cfg))
+    assert path.read_bytes() == _blob(entries, 5, ckpt.config_hash(model.cfg))
 
 
 class _HalfWriter:
@@ -365,13 +375,13 @@ def test_census_missing_and_unexpected(tmp_path):
     victim = sorted(dropped)[0]
     del dropped[victim]
     path = tmp_path / "bad.pspc"
-    path.write_bytes(ckpt.serialize(dropped, 0, 0))
+    path.write_bytes(_blob(dropped))
     with pytest.raises(ValueError, match=f"missing.*{victim.split('.')[0]}"):
         ckpt.load(str(path), cfg)
 
     extra = dict(entries)
     extra["zzz.rogue"] = np.zeros(2, np.float32)
-    path.write_bytes(ckpt.serialize(extra, 0, 0))
+    path.write_bytes(_blob(extra))
     with pytest.raises(ValueError, match="unexpected: zzz.rogue"):
         ckpt.load(str(path), cfg)
 
@@ -383,7 +393,7 @@ def test_census_shape_mismatch(tmp_path):
     victim = sorted(entries)[0]
     entries[victim] = np.zeros(entries[victim].size + 1, np.float32)
     path = tmp_path / "bad.pspc"
-    path.write_bytes(ckpt.serialize(entries, 0, 0))
+    path.write_bytes(_blob(entries))
     with pytest.raises(ValueError, match="shape of"):
         ckpt.load(str(path), cfg)
 
@@ -438,7 +448,7 @@ def test_allow_prune_never_excuses_trunk_gaps(tmp_path):
     trunk = next(n for n in sorted(entries) if not n.startswith("aux/"))
     del entries[trunk]
     path = tmp_path / "gap.pspc"
-    path.write_bytes(ckpt.serialize(entries, 0, 0))
+    path.write_bytes(_blob(entries))
     with pytest.raises(ValueError, match="missing"):
         ckpt.load(str(path), cfg, allow_prune=True)
 

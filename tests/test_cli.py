@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from pyrseg import checkpoint as ckpt
 from pyrseg.cli import build_parser, main
-from pyrseg.config import load_config
+from pyrseg.config import RunConfig, load_config
 from pyrseg.model import build_model
 from pyrseg.pnm import read_pgm, read_ppm, write_ppm
 
@@ -312,6 +313,18 @@ def test_benchmark_command_lines_parse():
     assert sorted({a[0] for a in argvs}) == ["ablate", "eval", "train"]
     for argv in argvs:
         build_parser().parse_args(argv)
+
+
+def test_benchmark_config_keys_are_run_config_fields():
+    # Every keyword of a `write_cfg(...)` or `dict(...)` call in
+    # perfbench/workloads.py becomes a config-file key.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    keys = {kw.arg for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in ("write_cfg", "dict")
+            for kw in call.keywords if kw.arg is not None}
+    assert {"workers", "resume", "ablate_iters"} <= keys
+    assert keys <= {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_readme_cli_table_matches_parser():

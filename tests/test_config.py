@@ -1,5 +1,9 @@
 """Config parsing, overrides, formatting, and AugmentConfig validation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from pyrseg.config import RunConfig, format_config, load_config, parse_config_text
@@ -87,14 +91,26 @@ def test_load_config_rejects_unknown_override():
 
 
 def test_format_config_lists_every_field_once():
-    import dataclasses
-
     cfg = RunConfig(max_iter=77, psp_bins=(2, 4))
     lines = format_config(cfg).splitlines()
     assert len(lines) == len(dataclasses.fields(RunConfig))
     assert all(line.startswith("config ") for line in lines)
     assert "config max_iter=77" in lines
     assert "config psp_bins=2,4" in lines
+
+
+def test_readme_config_table_names_every_field_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"## Config files\n.*?\| group \| keys \|\n\|[- |]+\|\n(.*?)\n\n",
+                      readme, re.S).group(1)
+    documented = []
+    for row in table.splitlines():
+        # `a_min`/`max` is shorthand for `a_min`/`a_max`
+        for key, alt in re.findall(r"`(\w+)`(?:/`(\w+)`)?", row.split("|")[2]):
+            documented.append(key)
+            if alt:
+                documented.append(alt if "_" in alt else key.rsplit("_", 1)[0] + "_" + alt)
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_bad_value_type_rejected():

@@ -9,7 +9,6 @@ from pyrseg.data import (
     AugmentConfig,
     SegSample,
     augment,
-    augment_all,
     class_palette,
     collate,
     gaussian_blur,
@@ -186,19 +185,6 @@ def test_mirror_only_config_is_involution():
     twice = augment(once, cfg, np.random.default_rng(0))
     assert np.array_equal(twice.image, s.image)
     assert np.array_equal(twice.labels, s.labels)
-
-
-def test_augment_all_order_preserving_and_worker_independent():
-    cfg = AugmentConfig(crop_size=32)
-    data_rng = np.random.default_rng(11)
-    samples = [_sample(data_rng) for _ in range(6)]
-    rngs1 = [np.random.default_rng([5, i]) for i in range(6)]
-    rngs2 = [np.random.default_rng([5, i]) for i in range(6)]
-    serial = augment_all(samples, cfg, rngs1, workers=1)
-    threaded = augment_all(samples, cfg, rngs2, workers=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.labels, b.labels)
 
 
 # -- batching ---------------------------------------------------------------

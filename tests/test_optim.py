@@ -1,10 +1,14 @@
 """Poly schedule against the closed form; SGD update against hand math."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pyrseg import checkpoint as ckpt
 from pyrseg import optim
+from pyrseg.config import load_config
+from pyrseg.model import build_model
 from pyrseg.optim import SGD, OptimConfig, poly_lr
 from pyrseg.tensor import Tensor
 
@@ -136,26 +140,30 @@ def test_sgd_trajectory_matches_manual_simulation():
     assert np.allclose(p.data, ref, atol=1e-4)
 
 
-def test_sgd_step_bitwise_equals_reference_update():
-    # Sizes straddle the block: one below it, one over two blocks and not a
-    # multiple of it. Velocity comes back through a checkpoint round trip.
+def test_sgd_step_bitwise_equals_reference_update(tmp_path):
+    # Velocity comes back through a checkpoint save and load, and SGD steps
+    # the loaded arrays in place, as a resume does. With 64 head channels the
+    # head conv holds 147,456 weights: over two blocks and not a multiple of
+    # one; most other parameters sit below a block.
+    cfg = replace(load_config(None, {}).to_model_config(), head_channels=64)
+    model = build_model(cfg, seed=0)
     rng = np.random.default_rng(3)
-    shapes = {"a": (7, 5), "b": (2 * optim._BLOCK + 123,), "c": (3, optim._BLOCK // 2 + 9)}
-    params = {n: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-              for n, s in shapes.items()}
-    cfg = OptimConfig(momentum=0.9, weight_decay=0.0005)
-    sgd = SGD(params, cfg)
-    saved = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
-    restored, _, _ = ckpt.deserialize(ckpt.serialize(saved, 0, 0))
-    for name in sgd.velocity:
-        sgd.velocity[name][...] = restored[name]
-    ref_p = {n: p.data.copy() for n, p in params.items()}
-    ref_v = {n: v.copy() for n, v in restored.items()}
+    saved = {n: rng.normal(size=p.shape).astype(np.float32)
+             for n, p in model.named_parameters()}
+    assert max(v.size for v in saved.values()) > 2 * optim._BLOCK
+    path = tmp_path / "v.pspc"
+    ckpt.save(str(path), model, saved, 0)
+    loaded, velocity, _ = ckpt.load(str(path), cfg)
+    params = dict(loaded.named_parameters())
+    ocfg = OptimConfig(momentum=0.9, weight_decay=0.0005)
+    sgd = SGD(params, ocfg, velocity)
+    ref_p = {n: p.data.copy() for n, p in model.named_parameters()}
+    ref_v = {n: v.copy() for n, v in saved.items()}
     for lr in (0.01, 0.0093):
         for name, p in params.items():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
-            g = p.grad + cfg.weight_decay * ref_p[name]
-            ref_v[name] *= cfg.momentum
+            g = p.grad + ocfg.weight_decay * ref_p[name]
+            ref_v[name] *= ocfg.momentum
             ref_v[name] += g
             ref_p[name] -= lr * ref_v[name]
         sgd.step(lr)

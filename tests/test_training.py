@@ -8,7 +8,7 @@ import pytest
 
 from pyrseg import checkpoint as ckpt
 from pyrseg.backbone import BackboneConfig
-from pyrseg.data import AugmentConfig
+from pyrseg.data import AugmentConfig, augment, collate
 from pyrseg.model import ModelConfig, build_model
 from pyrseg.optim import SGD, OptimConfig
 from pyrseg.pyramid import PyramidConfig
@@ -89,14 +89,20 @@ def test_shared_batches_train_the_same_bits():
         assert all(np.array_equal(params[k], runs[0][1][k]) for k in params)
 
 
-def test_batches_deterministic_and_worker_independent():
+def test_batches_deterministic_and_order_preserving():
     samples = _corpus()
-    one = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug(), workers=1)
-    two = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug(), workers=3)
-    assert np.array_equal(one.images, two.images)
-    assert np.array_equal(one.labels, two.labels)
-    other = batch_for_iteration(samples, 4, seed=3, iteration=8, aug_cfg=_aug())
-    assert not np.array_equal(one.images, other.images)
+    batch = batch_for_iteration(samples, 4, seed=3, iteration=6, aug_cfg=_aug())
+    again = batch_for_iteration(samples, 4, seed=3, iteration=6, aug_cfg=_aug())
+    assert np.array_equal(batch.images, again.images)
+    assert np.array_equal(batch.labels, again.labels)
+    # 6 samples at batch 4 is 2 batches an epoch, so iteration 6 opens epoch
+    # 3; slot j holds picked sample j, augmented by stream (seed, iteration, j)
+    picked = [samples[int(i)] for i in epoch_order(3, 3, 6)[:4]]
+    want = collate([augment(s, _aug(), augment_rng(3, 6, j)) for j, s in enumerate(picked)])
+    assert np.array_equal(batch.images, want.images)
+    assert np.array_equal(batch.labels, want.labels)
+    other = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug())
+    assert not np.array_equal(batch.images[:2], other.images)
 
 
 def test_batch_covers_epoch_without_repeats():
