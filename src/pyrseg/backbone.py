@@ -60,12 +60,10 @@ PRESETS = {
 }
 
 
-def preset(name: str, **overrides) -> BackboneConfig:
+def preset(name: str) -> BackboneConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    kwargs = dict(PRESETS[name])
-    kwargs.update(overrides)
-    return BackboneConfig(**kwargs)
+    return BackboneConfig(**PRESETS[name])
 
 
 class Bottleneck(Module):

@@ -97,8 +97,8 @@ class _Reader:
         self.pos += n
         return start
 
-    def take(self, n: int, what: str = "") -> bytes:
-        self.f.seek(self.skip(n, what))
+    def take(self, n: int) -> bytes:
+        self.f.seek(self.skip(n))
         return self.f.read(n)
 
     def unpack(self, fmt: str):

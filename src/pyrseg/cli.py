@@ -47,12 +47,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if not cfg.data_dir:
         raise ValueError("train needs data_dir (key=value config or a synth run first)")
+    if cfg.resume and cfg.checkpoint and cfg.resume != cfg.checkpoint:
+        raise ValueError(f"train got two checkpoints to resume from: resume={cfg.resume} "
+                         f"and checkpoint={cfg.checkpoint}; set one")
+    mcfg = cfg.to_model_config()
+    ocfg = cfg.to_optim_config()
+    acfg = cfg.to_augment_config()
     samples = load_dataset(cfg.data_dir, cfg.num_classes)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    mcfg = cfg.to_model_config()
-    ocfg = cfg.to_optim_config()
     resume_from = cfg.resume or cfg.checkpoint
     if resume_from:
         model, velocity, start_iter = ckpt_mod.load(resume_from, mcfg)
@@ -75,7 +79,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if cfg.ckpt_every > 0 and done % cfg.ckpt_every == 0 and done != ocfg.max_iter:
             ckpt_mod.save(str(out / f"iter{done:06d}.pspc"), model, sgd.velocity, done)
 
-    train_loop(model, sgd, samples, cfg.to_augment_config(), ocfg,
+    train_loop(model, sgd, samples, acfg, ocfg,
                seed=cfg.seed, batch_size=cfg.batch_size, start_iter=start_iter,
                on_iteration=on_iteration)
     ckpt_mod.save(str(final_path), model, sgd.velocity, ocfg.max_iter)
@@ -136,13 +140,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    base = cfg.to_model_config()
+    ocfg = cfg.to_optim_config(max_iter=cfg.ablate_iters)
+    acfg = cfg.to_augment_config()
     scfg = ablate_mod.context_dataset_config(cfg.seed)
     corpus = synth_generate(scfg, cfg.ablate_train_n + cfg.ablate_test_n)
     train_samples = corpus[: cfg.ablate_train_n]
     test_samples = corpus[cfg.ablate_train_n :]
-    base = cfg.to_model_config()
-    ocfg = cfg.to_optim_config(max_iter=cfg.ablate_iters)
-    acfg = cfg.to_augment_config()
     seeds = range(cfg.seed, cfg.seed + cfg.ablate_seeds)
 
     def progress(row) -> None:

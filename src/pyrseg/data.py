@@ -52,16 +52,20 @@ class AugmentConfig:
     blur_prob: float = 0.5
     blur_sigma_range: tuple[float, float] = (0.3, 1.0)
     crop_size: int = 64
-    pad_value_image: tuple[float, float, float] = (0.5, 0.5, 0.5)
+    pad_value_image: float = 0.5  # every channel
 
     def __post_init__(self) -> None:
         lo, hi = self.resize_range
         if lo <= 0 or hi < lo:
             raise ValueError(f"resize_range must be positive and ordered, got {self.resize_range}")
-        if self.crop_size % 8:
-            raise ValueError(f"crop_size must be divisible by 8, got {self.crop_size}")
-        if isinstance(self.pad_value_image, (int, float)):
-            self.pad_value_image = (float(self.pad_value_image),) * 3
+        if self.crop_size < 8 or self.crop_size % 8:
+            raise ValueError(f"crop_size must be >= 8 and divisible by 8, got {self.crop_size}")
+        lo, hi = self.blur_sigma_range
+        if not 0 < lo <= hi:
+            raise ValueError(f"blur_sigma_range needs 0 < min <= max, got {self.blur_sigma_range}")
+        for name in ("mirror_prob", "blur_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 # -- sample io ----------------------------------------------------------------
@@ -219,14 +223,6 @@ def _rotate_window(img: np.ndarray, labels: np.ndarray, sy: np.ndarray, sx: np.n
     return np.ascontiguousarray(out), np.ascontiguousarray(lab)
 
 
-def rotate_pair(img: np.ndarray, labels: np.ndarray,
-                degrees: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate about the center: bilinear/edge-clamp image, nearest/ignore labels."""
-    _, h, w = img.shape
-    sy, sx = _rotation_source(h, w, degrees, (0, h), (0, w))
-    return _rotate_window(img, labels, sy, sx, (h, w), (0, 0))
-
-
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian with radius ceil(3*sigma), edge-clamped."""
     radius = _blur_radius(sigma)
@@ -253,25 +249,11 @@ def _pad_to(img: np.ndarray, labels: np.ndarray, size: int,
     if h >= size and w >= size:
         return img, labels
     ph, pw = max(h, size), max(w, size)
-    canvas = np.empty((3, ph, pw), dtype=img.dtype)
-    canvas[...] = np.asarray(cfg.pad_value_image, dtype=img.dtype)[:, None, None]
+    canvas = np.full((3, ph, pw), cfg.pad_value_image, dtype=img.dtype)
     canvas[:, :h, :w] = img
     lcanvas = np.full((ph, pw), IGNORE_LABEL, dtype=labels.dtype)
     lcanvas[:h, :w] = labels
     return canvas, lcanvas
-
-
-def pad_and_crop(img: np.ndarray, labels: np.ndarray, cfg: AugmentConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    crop = cfg.crop_size
-    img, labels = _pad_to(img, labels, crop, cfg)
-    _, h, w = img.shape
-    y0 = int(rng.integers(0, h - crop + 1))
-    x0 = int(rng.integers(0, w - crop + 1))
-    return (
-        np.ascontiguousarray(img[:, y0 : y0 + crop, x0 : x0 + crop]),
-        np.ascontiguousarray(labels[y0 : y0 + crop, x0 : x0 + crop]),
-    )
 
 
 def augment(sample: SegSample, cfg: AugmentConfig, rng: np.random.Generator) -> SegSample:

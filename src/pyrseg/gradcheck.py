@@ -40,9 +40,9 @@ def _const(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.normal(size=shape))
 
 
-def _away_from_zero(rng: np.random.Generator, *shape: int, margin: float = 0.25) -> Tensor:
+def _away_from_zero(rng: np.random.Generator, *shape: int) -> Tensor:
     x = rng.normal(size=shape)
-    return Tensor(x + margin * np.sign(x), requires_grad=True)
+    return Tensor(x + 0.25 * np.sign(x), requires_grad=True)
 
 
 def _distinct_grid(rng: np.random.Generator, *shape: int) -> Tensor:
@@ -234,27 +234,19 @@ def _replace_param(model, name: str, new: Tensor) -> None:
                 setattr(bundle, attr, new)
 
 
-def _pick(names: list[str], substring: str) -> str:
-    for n in names:
-        if substring in n:
-            return n
-    raise LookupError(f"no parameter matching {substring!r}")
-
-
 def case_micro_model(rng):
     """End-to-end training loss on a miniature network, differentiated with
     respect to one small parameter tensor from every depth of the chain (stem,
     bottleneck, pyramid, both heads). Batch of 2 keeps the bin-1 BN valid."""
     seed = int(rng.integers(0, 2**31))
     model = build_model(_micro_config(), seed=seed)
-    names = [n for n, _ in model.named_parameters()]
     picked = [
-        _pick(names, "stem_bn/gamma"),
-        _pick(names, "conv2/weight"),       # first bottleneck 3x3
-        _pick(names, "bn2/gamma"),
-        _pick(names, "psp/reduce_bn"),      # pyramid-level BN gamma
-        _pick(names, "head/conv2/bias"),
-        _pick(names, "aux/conv2/weight"),
+        "backbone/stem_bn/gamma",
+        "backbone/stages/0/0/conv2/weight",  # first bottleneck 3x3
+        "backbone/stages/0/0/bn2/gamma",
+        "psp/reduce_bn/0/gamma",             # pyramid-level BN gamma
+        "head/conv2/bias",
+        "aux/conv2/weight",
     ]
     x = Tensor(rng.uniform(0.0, 1.0, size=(2, 3, 16, 16)).astype(np.float32))
     labels = rng.integers(0, 3, size=(2, 16, 16)).astype(np.int64)
@@ -294,10 +286,10 @@ CASES = [
 
 
 def run_case(name: str, builder, seeds: int = DEFAULT_SEEDS,
-             tol: float = TOLERANCE, base_seed: int = 0) -> CheckResult:
+             tol: float = TOLERANCE) -> CheckResult:
     worst, worst_seed = 0.0, -1
     for s in range(seeds):
-        rng = np.random.default_rng([base_seed, 101, s])
+        rng = np.random.default_rng([0, 101, s])
         f, xs = builder(rng)
         err = finite_diff_check(f, xs)
         if err > worst:

@@ -35,10 +35,6 @@ class Module:
         self._buffers[name] = arr
         return arr
 
-    def add_child(self, name: str, module: "Module") -> "Module":
-        self._children[name] = module
-        return module
-
     def __setattr__(self, name, value):
         if isinstance(value, Module):
             self.__dict__.setdefault("_children", {})[name] = value
@@ -50,13 +46,13 @@ class Module:
             sub = f"{prefix}/{name}" if prefix else name
             yield from child.named_modules(sub)
 
-    def named_parameters(self, prefix: str = ""):
-        for root, mod in self.named_modules(prefix):
+    def named_parameters(self):
+        for root, mod in self.named_modules():
             for name, p in mod._params.items():
                 yield (f"{root}/{name}" if root else name), p
 
-    def named_buffers(self, prefix: str = ""):
-        for root, mod in self.named_modules(prefix):
+    def named_buffers(self):
+        for root, mod in self.named_modules():
             for name, b in mod._buffers.items():
                 yield (f"{root}/{name}" if root else name), b
 
@@ -80,7 +76,7 @@ class ModuleList(Module):
             self.append(m)
 
     def append(self, module: Module) -> None:
-        self.add_child(str(len(self._items)), module)
+        setattr(self, str(len(self._items)), module)
         self._items.append(module)
 
     def __iter__(self):
@@ -111,8 +107,7 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels: int, zero_init: bool = False) -> None:
         super().__init__()
-        self.zero_init = zero_init
-        gamma = self.add_param("gamma", np.ones(channels, np.float32))
+        gamma = self.add_param("gamma", np.full(channels, 0.0 if zero_init else 1.0, np.float32))
         beta = self.add_param("beta", np.zeros(channels, np.float32))
         rm = self.add_buffer("running_mean", np.zeros(channels, np.float32))
         rv = self.add_buffer("running_var", np.ones(channels, np.float32))
@@ -130,9 +125,11 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def init_parameters(model: Module, seed: int) -> None:
-    """He-init conv weights, BN gamma=1 (or 0 when flagged), biases/offsets 0.
+    """He-init the conv weights of a freshly built model.
 
-    Each parameter draws from its own (seed, name)-keyed stream.
+    Each weight draws from its own (seed, name)-keyed stream. Everything else
+    keeps the value its constructor created: biases and BN beta 0, BN gamma 1
+    (0 when zero_init), running mean 0 and variance 1.
     """
     for mod_name, mod in model.named_modules():
         if isinstance(mod, Conv2d):
@@ -141,10 +138,3 @@ def init_parameters(model: Module, seed: int) -> None:
             std = np.sqrt(2.0 / fan_in)
             rng = _name_rng(seed, f"{mod_name}/weight")
             w.data[...] = rng.normal(0.0, std, size=w.shape).astype(np.float32)
-            if mod.params.bias is not None:
-                mod.params.bias.data[...] = 0.0
-        elif isinstance(mod, BatchNorm2d):
-            mod.params.gamma.data[...] = 0.0 if mod.zero_init else 1.0
-            mod.params.beta.data[...] = 0.0
-            mod.params.running_mean[...] = 0.0
-            mod.params.running_var[...] = 1.0

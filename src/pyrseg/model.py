@@ -109,16 +109,11 @@ class PSPNet(Module):
         )
 
     def count_parameters(self) -> int:
-        return count_parameters(self)
+        """Number of scalar parameters (aux branch included)."""
+        return sum(p.size for _, p in self.named_parameters())
 
 
 def build_model(cfg: ModelConfig, seed: int) -> PSPNet:
     model = PSPNet(cfg)
     init_parameters(model, seed)
     return model
-
-
-def count_parameters(model: Module) -> int:
-    """Number of scalar parameters in a built model (aux branch included)."""
-    return sum(p.size for _, p in model.named_parameters())
-

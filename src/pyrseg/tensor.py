@@ -208,13 +208,14 @@ def tsum(a: Tensor) -> Tensor:
                      lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def finite_diff_check(f, xs: Sequence[Tensor], eps: float = 1e-6) -> float:
+def finite_diff_check(f, xs: Sequence[Tensor]) -> float:
     """Max relative error between backward() and central differences.
 
     Runs f on float64 copies of xs: one recorded pass for analytic grads,
     then 2 unrecorded evaluations per input element. Relative error per
     element is |a-n| / max(|a|, |n|, 1e-8).
     """
+    eps = 1e-6
     xs64 = [Tensor(x.data.astype(np.float64), requires_grad=True) for x in xs]
     with Graph():
         loss = f(*xs64)

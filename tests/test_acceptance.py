@@ -29,7 +29,7 @@ from pyrseg.metrics import (
     multi_scale_infer,
     pixel_accuracy,
 )
-from pyrseg.model import ModelConfig, build_model, count_parameters
+from pyrseg.model import build_model
 from pyrseg.optim import SGD, OptimConfig, poly_lr
 from pyrseg.pyramid import AblationVariant, PyramidConfig
 from pyrseg.synth import synth_generate
@@ -75,7 +75,7 @@ def test_a1_gradient_check_suite():
 def test_a2_overfit_sanity():
     rc = _toy_run_config()
     model_cfg = rc.to_model_config()
-    params = count_parameters(build_model(model_cfg, seed=0))
+    params = build_model(model_cfg, seed=0).count_parameters()
     samples = synth_generate(rc.to_synth_config(), 32)
 
     t0 = time.perf_counter()

@@ -1,8 +1,77 @@
-"""The package's public surface."""
+"""The package's public surface, and the rule that every name in it is used."""
+
+import ast
+from pathlib import Path
 
 import pyrseg
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Definitions that nothing in src/ or perfbench/ names, each kept for one reason.
+ALLOWED_UNREACHED = {
+    "ablate.run_variant_grid": "A3's entry point (tests/test_acceptance.py)",
+    "ablate.run_alpha_sweep": "A5's entry point (tests/test_acceptance.py)",
+    "metrics.ConfusionMatrix.merge": "a method of ConfusionMatrix, an exported class",
+}
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in pyrseg.__all__ if not hasattr(pyrseg, name)]
     assert missing == []
+
+
+def _definitions(tree, module):
+    """(qualified name, name, first line, last line) of every non-dunder def
+    or class, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append((qual, child.name, child.lineno, child.end_lineno))
+                visit(child, qual)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _uses(tree):
+    """(name, line) of every Name, Attribute, import alias and identifier-like
+    string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in node.name.split(".") + ([node.asname] if node.asname else []):
+                yield name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def test_every_definition_in_src_is_named_outside_itself():
+    # A def or class in src/ must be named by src/ or perfbench/ somewhere
+    # other than its own body, or be exported; tests alone do not keep it.
+    files = [*sorted((ROOT / "src" / "pyrseg").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    uses = {}
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    unreached = set()
+    for path, tree in trees.items():
+        if path.parent.name != "pyrseg":
+            continue
+        for qual, name, first, last in _definitions(tree, path.stem):
+            outside = [u for u in uses.get(name, [])
+                       if u[0] != path or not first <= u[1] <= last]
+            if not outside and name not in pyrseg.__all__:
+                unreached.add(qual)
+    assert sorted(unreached) == sorted(ALLOWED_UNREACHED)

@@ -1,5 +1,7 @@
 """Backbone shape arithmetic, stride-8 contract, receptive-field probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from pyrseg.tensor import Tensor
 
 
 def _toy(**overrides):
-    cfg = preset("toy", **overrides)
+    cfg = dataclasses.replace(preset("toy"), **overrides)
     model = Backbone(cfg)
     init_parameters(model, seed=0)
     model.train(False)
@@ -135,7 +137,8 @@ def test_impulse_footprint_two_convs():
 
 def test_dilated_plan_widens_receptive_field():
     dilated = receptive_field_probe(preset("toy"), input_size=256)
-    plain = receptive_field_probe(preset("toy", dilation_plan=(1, 1, 1, 1)), input_size=256)
+    plain = receptive_field_probe(dataclasses.replace(preset("toy"), dilation_plan=(1, 1, 1, 1)),
+                                  input_size=256)
     assert dilated > plain
 
 

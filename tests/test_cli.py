@@ -151,6 +151,52 @@ def test_resume_past_schedule_end_exits_one(ds_dir, tmp_path, capsys):
     assert not (run / "final.pspc").exists()
 
 
+def test_train_rejects_resume_and_a_different_checkpoint(ds_dir, tmp_path, capsys):
+    cfg = _train_cfg(tmp_path, ds_dir)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--max-iter", "2",
+                 "--out", str(run)]) == 0
+    first = run / "final.pspc"
+    other = run / "other.pspc"
+    other.write_bytes(first.read_bytes())
+    cfg2 = tmp_path / "resume.cfg"
+    cfg2.write_text(cfg.read_text() + f"resume = {first}\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg2), "--max-iter", "4",
+               "--checkpoint", str(other), "--out", str(tmp_path / "b")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert f"resume={first}" in err and f"checkpoint={other}" in err
+    assert not re.search(r"^iter=", out, re.M)  # stopped before iteration 0
+    assert not (tmp_path / "b" / "final.pspc").exists()
+    # the same file twice is one request
+    rc = main(["train", "--config", str(cfg2), "--max-iter", "4",
+               "--checkpoint", str(first), "--out", str(tmp_path / "b")])
+    assert rc == 0
+    assert "resumed iteration=2" in capsys.readouterr().out
+
+
+def test_zero_blur_sigma_exits_one_before_any_work(ds_dir, tmp_path, capsys, monkeypatch):
+    import pyrseg.cli as cli_mod
+
+    cfg = _train_cfg(tmp_path, ds_dir)
+    cfg.write_text(cfg.read_text() + "blur_sigma_min = 0\nblur_sigma_max = 0\n")
+    run = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--max-iter", "2", "--out", str(run)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "error: blur_sigma" in err
+    assert not re.search(r"^iter=", out, re.M)  # stopped before iteration 0
+    assert not run.exists()
+
+    def no_corpus(*args):
+        raise AssertionError("ablate generated its corpus before checking the config")
+
+    monkeypatch.setattr(cli_mod, "synth_generate", no_corpus)
+    assert main(["ablate", "--config", str(cfg), "--out", str(run)]) == 1
+    assert "error: blur_sigma" in capsys.readouterr().err
+
+
 def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"

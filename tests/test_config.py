@@ -4,10 +4,11 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pyrseg.config import RunConfig, format_config, load_config, parse_config_text
-from pyrseg.data import AugmentConfig
+from pyrseg.data import AugmentConfig, _pad_to
 
 
 def test_defaults_expose_toy_preset():
@@ -121,12 +122,27 @@ def test_bad_value_type_rejected():
 def test_augment_config_validation():
     with pytest.raises(ValueError, match="divisible by 8"):
         AugmentConfig(crop_size=30)
+    for crop in (0, -8):
+        with pytest.raises(ValueError, match="crop_size"):
+            AugmentConfig(crop_size=crop)
     with pytest.raises(ValueError, match="ordered"):
         AugmentConfig(resize_range=(2.0, 0.5))
     with pytest.raises(ValueError, match="positive"):
         AugmentConfig(resize_range=(0.0, 1.0))
-    cfg = AugmentConfig(pad_value_image=0.25)
-    assert cfg.pad_value_image == (0.25, 0.25, 0.25)
+    for sigmas in ((0.0, 0.0), (-0.5, 1.0), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="blur_sigma_range"):
+            AugmentConfig(blur_sigma_range=sigmas)
+    for field in ("mirror_prob", "blur_prob"):
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=field):
+                AugmentConfig(**{field: p})
+    AugmentConfig(crop_size=8, blur_sigma_range=(0.5, 0.5), mirror_prob=0.0, blur_prob=1.0)
+    cfg = AugmentConfig(pad_value_image=0.25, crop_size=16)
+    img = np.zeros((3, 8, 8), dtype=np.float32)
+    padded, _ = _pad_to(img, np.zeros((8, 8), dtype=np.uint8), 16, cfg)
+    assert padded.dtype == np.float32
+    assert (padded[:, 8:, :] == np.float32(0.25)).all()  # every channel
+    assert (padded[:, :, 8:] == np.float32(0.25)).all()
 
 
 def test_to_synth_config_carries_fields():

@@ -8,19 +8,43 @@ from pyrseg.data import (
     IGNORE_LABEL,
     AugmentConfig,
     SegSample,
+    _pad_to,
+    _rotate_window,
+    _rotation_source,
     augment,
     class_palette,
     collate,
     gaussian_blur,
     load_dataset,
     load_sample,
-    pad_and_crop,
     resize_image,
     resize_labels,
-    rotate_pair,
     save_sample,
     write_dataset,
 )
+
+
+# Whole-map references for augment's stages: augment computes only the window
+# its crop keeps, and must match these bit for bit.
+
+
+def rotate_pair(img, labels, degrees):
+    """Rotate about the center: bilinear/edge-clamp image, nearest/ignore labels."""
+    _, h, w = img.shape
+    sy, sx = _rotation_source(h, w, degrees, (0, h), (0, w))
+    return _rotate_window(img, labels, sy, sx, (h, w), (0, 0))
+
+
+def pad_and_crop(img, labels, cfg, rng):
+    crop = cfg.crop_size
+    img, labels = _pad_to(img, labels, crop, cfg)
+    _, h, w = img.shape
+    y0 = int(rng.integers(0, h - crop + 1))
+    x0 = int(rng.integers(0, w - crop + 1))
+    return (
+        np.ascontiguousarray(img[:, y0 : y0 + crop, x0 : x0 + crop]),
+        np.ascontiguousarray(labels[y0 : y0 + crop, x0 : x0 + crop]),
+    )
 
 
 def _sample(rng, h=48, w=40, k=4):

@@ -5,7 +5,7 @@ import pytest
 
 from pyrseg.backbone import BackboneConfig
 from pyrseg.config import RunConfig
-from pyrseg.model import ModelConfig, PSPNet, build_model, count_parameters
+from pyrseg.model import ModelConfig, PSPNet, build_model
 from pyrseg.pyramid import PyramidConfig
 from pyrseg.tensor import Graph, Tensor, backward
 
@@ -143,4 +143,4 @@ def test_toy_default_parameter_budget():
 def test_module_count_parameters_counts_a_built_model(preset):
     model = build_model(RunConfig(preset=preset).to_model_config(), seed=0)
     expected = sum(p.size for _, p in model.named_parameters())
-    assert count_parameters(model) == model.count_parameters() == expected
+    assert model.count_parameters() == expected
