@@ -3,6 +3,9 @@ upsampling, channel concat, and softmax cross-entropy with an ignore label.
 
 Every op is a pure function of Tensors (BN running-stat updates are the one
 documented mutation) and registers its own backward on the active Graph.
+batch_norm has one path: training and inference differ only in the statistics
+they take, then share one in-place normalize/affine sequence and one backward,
+which adds the batch-statistic terms in training only.
 conv2d has one lowering for every shape: it pads a channels-last copy of the
 input, gathers im2col columns in (c, i, j) order tap by tap, and multiplies
 by the weight matrix; its backward scatter-adds the tap gradients onto a
@@ -127,51 +130,43 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
 
 
 def batch_norm(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
-    """Per-channel normalization; training updates running stats in place."""
+    """Per-channel normalization by the batch stats in training (which also
+    updates the running stats in place) or by the running stats in inference."""
     if x.ndim != 4:
         raise ValueError(f"batch_norm expects N x C x H x W input, got shape {x.shape}")
     n, c, h, w = x.shape
     gamma, beta = p.gamma, p.beta
+    axes, b = (0, 2, 3), (None, slice(None), None, None)
+    m = n * h * w
     if training:
-        m = n * h * w
         if m < 2:
             raise ValueError("batch_norm in training mode needs at least 2 values per channel")
-        mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x.data - mean
-        var = (centered * centered).mean(axis=(0, 2, 3))  # x.var's arithmetic
-        mean = mean.reshape(c)
-        invstd = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat = centered * invstd[None, :, None, None]
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-        p.running_mean *= 1.0 - BN_MOMENTUM
-        p.running_mean += BN_MOMENTUM * mean
-        p.running_var *= 1.0 - BN_MOMENTUM
-        p.running_var += BN_MOMENTUM * var
-
-        def backward_fn(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            dx = None
-            if x.requires_grad:
-                dxhat = g * gamma.data[None, :, None, None]
-                t1 = dxhat.sum(axis=(0, 2, 3))
-                t2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-                dx = (
-                    dxhat - (t1[None, :, None, None] + xhat * t2[None, :, None, None]) / m
-                ) * invstd[None, :, None, None]
-            return dx, dgamma, dbeta
-
-        return record_op(out, (x, gamma, beta), backward_fn)
-
-    # Inference: a fixed per-channel affine map from running stats.
-    invstd = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
-    xhat = (x.data - p.running_mean[None, :, None, None]) * invstd[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        mean = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - mean
+        var = (xhat * xhat).mean(axis=axes)  # x.var's arithmetic
+        for running, batch in ((p.running_mean, mean.reshape(c)), (p.running_var, var)):
+            running *= 1.0 - BN_MOMENTUM
+            running += BN_MOMENTUM * batch
+    else:
+        xhat = x.data - p.running_mean[b]
+        var = p.running_var
+    invstd = (1.0 / np.sqrt(var + BN_EPSILON))[b]
+    xhat *= invstd
+    out = xhat * gamma.data[b]
+    out += beta.data[b]
 
     def backward_fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        dx = g * (gamma.data * invstd)[None, :, None, None] if x.requires_grad else None
+        dgamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
+        dbeta = g.sum(axis=axes) if beta.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            dx = g * gamma.data[b]
+            if training:
+                t = xhat * (dx * xhat).sum(axis=axes)[b]
+                t += dx.sum(axis=axes)[b]
+                t /= m
+                dx -= t
+            dx *= invstd
         return dx, dgamma, dbeta
 
     return record_op(out, (x, gamma, beta), backward_fn)

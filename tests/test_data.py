@@ -253,6 +253,35 @@ def test_ppm_pgm_round_trip(tmp_path):
     assert np.array_equal(pnm.read_pgm(tmp_path / "x.pgm"), gray)
 
 
+def test_pnm_header_comments_and_extra_whitespace(tmp_path):
+    raster = bytes(range(2 * 3))
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5 # magic\n# a comment line\n  2\t\t3 \n\n# maxval next\n255\n" + raster)
+    assert np.array_equal(pnm.read_pgm(path),
+                          np.frombuffer(raster, np.uint8).reshape(3, 2))
+
+
+@pytest.mark.parametrize("header,message", [
+    (b"P6\n4 4", "truncated header"),
+    (b"P6\n4 # width, then a comment runs off the end", "truncated header"),
+    (b"P6\n0 3\n255\n", "bad dimensions 0x3"),
+    (b"P6\n2 3\n65535\n", "only maxval 255 supported, got 65535"),
+    (b"P6\n2 3\n255\n" + bytes(17), r"truncated pixel data \(17 of 18 bytes\)"),
+])
+def test_read_ppm_rejects_bad_files(tmp_path, header, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=message):
+        pnm.read_ppm(path)
+
+
+def test_read_ppm_rejects_a_pgm(tmp_path):
+    path = tmp_path / "gray.pgm"
+    pnm.write_pgm(path, np.zeros((2, 2), np.uint8))
+    with pytest.raises(ValueError, match=r"expected P6 file, got magic b'P5'"):
+        pnm.read_ppm(path)
+
+
 def test_sample_round_trip_quantizes_to_8bit(tmp_path):
     rng = np.random.default_rng(17)
     s = _sample(rng, h=12, w=10)

@@ -144,6 +144,78 @@ def test_batch_norm_train_needs_two_values_per_channel():
     batch_norm(x, p, training=False)  # eval mode has no such constraint
 
 
+def _bn_two_branch(x, gamma, beta, rm, rv, g, training):
+    """batch_norm's arithmetic as two separate branches, written out once:
+    (out, dx, dgamma, dbeta, running_mean, running_var)."""
+    b = (None, slice(None), None, None)
+    axes = (0, 2, 3)
+    rm, rv = rm.copy(), rv.copy()
+    if training:
+        n, c, h, w = x.shape
+        m = n * h * w
+        mean = x.mean(axis=axes, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=axes)
+        invstd = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * invstd[b]
+        out = gamma[b] * xhat + beta[b]
+        rm *= 0.9
+        rm += 0.1 * mean.reshape(c)
+        rv *= 0.9
+        rv += 0.1 * var
+        dxhat = g * gamma[b]
+        t1 = dxhat.sum(axis=axes)
+        t2 = (dxhat * xhat).sum(axis=axes)
+        dx = (dxhat - (t1[b] + xhat * t2[b]) / m) * invstd[b]
+    else:
+        invstd = 1.0 / np.sqrt(rv + 1e-5)
+        xhat = (x - rm[b]) * invstd[b]
+        out = gamma[b] * xhat + beta[b]
+        dx = g * (gamma * invstd)[b]
+    return out, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), rm, rv
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,training", [
+    ((4, 3, 5, 6), True), ((4, 3, 5, 6), False),
+    ((1, 2, 3, 3), True), ((1, 2, 3, 3), False),
+    ((1, 3, 1, 1), False),
+])
+def test_batch_norm_bits_match_two_branch_arithmetic(dtype, shape, training):
+    """Both modes' outputs, the running-stat update and the gradients are
+    bit-identical to the two-branch expressions; inputs are never written."""
+    rng = np.random.default_rng(31)
+    c = shape[1]
+    x = rng.normal(0.7, 1.9, size=shape).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, size=c).astype(dtype)
+    beta = rng.normal(size=c).astype(dtype)
+    rm = rng.normal(size=c).astype(dtype)
+    rv = rng.uniform(0.5, 2.0, size=c).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    x0, gamma0, beta0 = x.copy(), gamma.copy(), beta.copy()
+
+    p = BatchNormParams(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
+                        rm.copy(), rv.copy())
+    xt = Tensor(x, requires_grad=True)
+    with Graph():
+        out = batch_norm(xt, p, training=training)
+        backward((out * Tensor(g)).sum())
+
+    want = _bn_two_branch(x0, gamma0, beta0, rm, rv, g, training)
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, want[0])
+    if training:
+        assert np.array_equal(xt.grad, want[1])
+    else:  # (g*gamma)*invstd against g*(gamma*invstd): equal up to the last bit
+        assert np.allclose(xt.grad, want[1], rtol=4 * np.finfo(dtype).eps, atol=0)
+    assert np.array_equal(p.gamma.grad, want[2])
+    assert np.array_equal(p.beta.grad, want[3])
+    assert np.array_equal(p.running_mean, want[4])
+    assert np.array_equal(p.running_var, want[5])
+    assert np.array_equal(x, x0) and np.array_equal(gamma, gamma0)
+    assert np.array_equal(beta, beta0)
+
+
 # -- relu / pooling -----------------------------------------------------------
 
 
