@@ -77,8 +77,7 @@ def variant_cells(base: ModelConfig, variants: list[AblationVariant] | None = No
 def alpha_cells(base: ModelConfig, alphas=ALPHA_SWEEP) -> list[tuple[str, ModelConfig]]:
     """alpha=0 trains without the auxiliary branch entirely; the trunk update
     sequence is identical either way, so the rows stay comparable."""
-    return [(f"alpha={alpha:g}", replace(base, aux_enabled=alpha != 0.0, aux_weight=alpha))
-            for alpha in alphas]
+    return [(f"alpha={alpha:g}", replace(base, aux_weight=alpha)) for alpha in alphas]
 
 
 def run_cells(cells: list[tuple[str, ModelConfig]], train_samples, test_samples,

@@ -2,8 +2,8 @@
 
 The stem plus stages 1-2 downsample x8; stages 3-4 trade stride for dilation
 (plan (1,1,2,4) by default) so the final map keeps 1/8 resolution while the
-kernels keep widening their reach. The stage the auxiliary head taps is a
-config field; both returned maps share spatial size.
+kernels keep widening their reach. The auxiliary head taps stage 3 (the
+paper's res4b22); both returned maps share spatial size.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ from . import ops
 from .layers import BatchNorm2d, Conv2d, Module, ModuleList
 from .tensor import Tensor
 
+EXPANSION = 4  # bottleneck width = stage width / EXPANSION
+AUX_TAP_STAGE = 3
+
 
 @dataclass
 class BackboneConfig:
     stage_blocks: tuple[int, int, int, int] = (2, 2, 2, 2)
     base_channels: int = 16
-    expansion: int = 4
     stem: str = "conv3"  # "conv3" (3x3 stride 2) or "conv7-pool" (7x7 stride 2 + maxpool)
     dilation_plan: tuple[int, int, int, int] = (1, 1, 2, 4)
-    aux_tap_stage: int = 3
-    zero_init_block_bn: bool = False
 
     def __post_init__(self) -> None:
         if len(self.stage_blocks) != 4 or any(b < 1 for b in self.stage_blocks):
@@ -32,8 +32,6 @@ class BackboneConfig:
             raise ValueError(f"dilation_plan needs 4 positive dilations, got {self.dilation_plan}")
         if self.stem not in ("conv3", "conv7-pool"):
             raise ValueError(f"unknown stem {self.stem!r}")
-        if not 1 <= self.aux_tap_stage <= 4:
-            raise ValueError(f"aux_tap_stage must be in 1..4, got {self.aux_tap_stage}")
 
     @property
     def stage_channels(self) -> tuple[int, int, int, int]:
@@ -50,7 +48,7 @@ class BackboneConfig:
 
     @property
     def tap_channels(self) -> int:
-        return self.stage_channels[self.aux_tap_stage - 1]
+        return self.stage_channels[AUX_TAP_STAGE - 1]
 
 
 PRESETS = {
@@ -70,7 +68,7 @@ class Bottleneck(Module):
     """1x1 reduce -> 3x3 (stride/dilation here) -> 1x1 expand, plus shortcut."""
 
     def __init__(self, in_channels: int, out_channels: int, mid_channels: int,
-                 stride: int, dilation: int, zero_init_bn: bool) -> None:
+                 stride: int, dilation: int) -> None:
         super().__init__()
         self.conv1 = Conv2d(in_channels, mid_channels, 1)
         self.bn1 = BatchNorm2d(mid_channels)
@@ -78,7 +76,7 @@ class Bottleneck(Module):
                             padding=dilation, dilation=dilation)
         self.bn2 = BatchNorm2d(mid_channels)
         self.conv3 = Conv2d(mid_channels, out_channels, 1)
-        self.bn3 = BatchNorm2d(out_channels, zero_init=zero_init_bn)
+        self.bn3 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
             self.proj = Conv2d(in_channels, out_channels, 1, stride=stride)
             self.proj_bn = BatchNorm2d(out_channels)
@@ -107,12 +105,11 @@ class Backbone(Module):
         in_c = c
         for i in range(4):
             out_c = cfg.stage_channels[i]
-            mid_c = max(out_c // cfg.expansion, 1)
+            mid_c = max(out_c // EXPANSION, 1)
             blocks = ModuleList()
             for b in range(cfg.stage_blocks[i]):
                 stride = cfg.stage_strides[i] if b == 0 else 1
-                blocks.append(Bottleneck(in_c, out_c, mid_c, stride,
-                                         cfg.dilation_plan[i], cfg.zero_init_block_bn))
+                blocks.append(Bottleneck(in_c, out_c, mid_c, stride, cfg.dilation_plan[i]))
                 in_c = out_c
             self.stages.append(blocks)
 
@@ -128,7 +125,7 @@ class Backbone(Module):
         for i, stage in enumerate(self.stages, start=1):
             for block in stage:
                 y = block(y)
-            if i == self.cfg.aux_tap_stage:
+            if i == AUX_TAP_STAGE:
                 tap = y
         return y, tap
 

@@ -22,7 +22,6 @@ class RunConfig:
     psp_bins: tuple = (1, 2, 3, 6)
     psp_mode: str = "average"
     psp_dim_reduce: bool = True
-    aux_enabled: bool = True
     aux_weight: float = 0.4
     head_channels: int = 0          # 0 = preset default (toy 32, resnet 512)
 
@@ -88,7 +87,6 @@ class RunConfig:
             backbone=backbone_preset(self.preset),
             pyramid=pyramid,
             num_classes=self.num_classes,
-            aux_enabled=self.aux_enabled,
             aux_weight=self.aux_weight,
             head_channels=head,
         )

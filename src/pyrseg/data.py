@@ -63,6 +63,8 @@ class AugmentConfig:
         lo, hi = self.blur_sigma_range
         if not 0 < lo <= hi:
             raise ValueError(f"blur_sigma_range needs 0 < min <= max, got {self.blur_sigma_range}")
+        if self.rotation_deg < 0:
+            raise ValueError(f"rotation_deg must be >= 0, got {self.rotation_deg}")
         for name in ("mirror_prob", "blur_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")

@@ -185,7 +185,7 @@ def case_cross_entropy(rng):
     z = _t(rng, 2, 3, 4, 4)
     labels = rng.integers(0, 3, size=(2, 4, 4)).astype(np.int64)
     labels[rng.random(size=labels.shape) < 0.2] = IGNORE_LABEL
-    return (lambda z: ops.softmax_cross_entropy(z, labels, IGNORE_LABEL)), [z]
+    return (lambda z: ops.softmax_cross_entropy(z, labels)), [z]
 
 
 def case_conv_bn_relu_pool(rng):
@@ -215,7 +215,6 @@ def _micro_config() -> ModelConfig:
                                 dilation_plan=(1, 1, 1, 1)),
         pyramid=PyramidConfig(bin_sizes=(1,)),
         num_classes=3,
-        aux_enabled=True,
         head_channels=8,
     )
 

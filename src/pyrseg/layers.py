@@ -105,9 +105,9 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, zero_init: bool = False) -> None:
+    def __init__(self, channels: int) -> None:
         super().__init__()
-        gamma = self.add_param("gamma", np.full(channels, 0.0 if zero_init else 1.0, np.float32))
+        gamma = self.add_param("gamma", np.ones(channels, np.float32))
         beta = self.add_param("beta", np.zeros(channels, np.float32))
         rm = self.add_buffer("running_mean", np.zeros(channels, np.float32))
         rv = self.add_buffer("running_var", np.ones(channels, np.float32))
@@ -128,8 +128,8 @@ def init_parameters(model: Module, seed: int) -> None:
     """He-init the conv weights of a freshly built model.
 
     Each weight draws from its own (seed, name)-keyed stream. Everything else
-    keeps the value its constructor created: biases and BN beta 0, BN gamma 1
-    (0 when zero_init), running mean 0 and variance 1.
+    keeps the value its constructor created: biases and BN beta 0, BN gamma 1,
+    running mean 0 and variance 1.
     """
     for mod_name, mod in model.named_modules():
         if isinstance(mod, Conv2d):

@@ -23,16 +23,16 @@ class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     pyramid: PyramidConfig | None = field(default_factory=PyramidConfig)
     num_classes: int = 4
-    aux_enabled: bool = True
-    aux_weight: float = 0.4
+    aux_weight: float = 0.4  # 0 builds no aux branch
     head_channels: int = 32
-    ignore_label: int = 255
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.aux_weight <= 1.0:
             raise ValueError(f"aux_weight must be in [0, 1], got {self.aux_weight}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        if self.head_channels < 1:
+            raise ValueError(f"head_channels must be >= 1, got {self.head_channels}")
 
 
 @dataclass
@@ -70,7 +70,7 @@ class PSPNet(Module):
             self.psp = None
             head_in = final_c
         self.head = ClassifierHead(head_in, cfg.head_channels, cfg.num_classes)
-        if cfg.aux_enabled:
+        if cfg.aux_weight > 0:
             self.aux = ClassifierHead(cfg.backbone.tap_channels, cfg.head_channels,
                                       cfg.num_classes)
         else:
@@ -87,11 +87,11 @@ class PSPNet(Module):
         _, _, h, w = x.shape
         logits, tap = self._main_logits(x)
         logits = ops.bilinear_upsample(logits, (h, w))
-        main = ops.softmax_cross_entropy(logits, labels, self.cfg.ignore_label)
+        main = ops.softmax_cross_entropy(logits, labels)
         if self.aux is None:
             return main, main, Tensor(np.zeros((), dtype=np.float32))
         aux_logits = ops.bilinear_upsample(self.aux(tap), (h, w))
-        aux = ops.softmax_cross_entropy(aux_logits, labels, self.cfg.ignore_label)
+        aux = ops.softmax_cross_entropy(aux_logits, labels)
         total = main + aux * float(self.cfg.aux_weight)
         return total, main, aux
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .data import IGNORE_LABEL
 from .tensor import Tensor, record_op
 
 BN_MOMENTUM = 0.1  # running-stat update weight of the current batch
@@ -345,7 +346,7 @@ def stable_softmax(z: np.ndarray, axis: int = 1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore: int = 255) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean of -log softmax[label] over non-ignored pixels (0 if none)."""
     if logits.ndim != 4:
         raise ValueError(f"softmax_cross_entropy expects N x K x H x W logits, got {logits.shape}")
@@ -355,17 +356,17 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore: int = 255)
         raise ValueError(f"shape mismatch: logits {logits.shape} vs labels {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be integer, got dtype {labels.dtype}")
-    bad = (labels != ignore) & ((labels < 0) | (labels >= k))
+    bad = (labels != IGNORE_LABEL) & ((labels < 0) | (labels >= k))
     if bad.any():
         raise ValueError(
-            f"label {int(labels[bad][0])} out of range for {k} classes (ignore={ignore})"
+            f"label {int(labels[bad][0])} out of range for {k} classes (ignore={IGNORE_LABEL})"
         )
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     sume = e.sum(axis=1, keepdims=True)
-    mask = labels != ignore
+    mask = labels != IGNORE_LABEL
     nvalid = int(mask.sum())
     safe = np.where(mask, labels, 0).astype(np.int64)[:, None]
     if nvalid == 0:

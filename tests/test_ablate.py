@@ -28,7 +28,6 @@ def _base_cfg():
                                 dilation_plan=(1, 1, 1, 1)),
         pyramid=PyramidConfig(bin_sizes=(1, 2), pool_mode="average", dim_reduce=True),
         num_classes=4,
-        aux_enabled=True,
         aux_weight=0.4,
         head_channels=8,
     )
@@ -95,7 +94,7 @@ def test_run_cells_trains_a_repeated_cell_once(monkeypatch):
         return real(name, cfg, *args, **kwargs)
 
     monkeypatch.setattr(ablate_mod, "train_and_eval", counting)
-    cells = [("a", base), ("bare", replace(base, aux_enabled=False)), ("a-again", base)]
+    cells = [("a", base), ("bare", replace(base, aux_weight=0.0)), ("a-again", base)]
     seen = []
     rows = run_cells(cells, train, test, ocfg, aug, seeds=(0, 1), batch_size=2,
                      progress=seen.append)

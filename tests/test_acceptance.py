@@ -131,14 +131,14 @@ def test_a3_context_ablation_trend(context_data):
 def test_a4_aux_branch_equivalence(tmp_path):
     rc = _toy_run_config()
     full_cfg = rc.to_model_config()
-    assert full_cfg.aux_enabled
+    assert full_cfg.aux_weight > 0
     model = build_model(full_cfg, seed=3)
     path = tmp_path / "full.pspc"
     ckpt.save(str(path), model, None, 0)
 
     import dataclasses
 
-    bare_cfg = dataclasses.replace(full_cfg, aux_enabled=False, aux_weight=0.0)
+    bare_cfg = dataclasses.replace(full_cfg, aux_weight=0.0)
     with_aux, _, _ = ckpt.load(str(path), full_cfg)
     pruned, _, _ = ckpt.load(str(path), bare_cfg, allow_prune=True)
 

@@ -14,6 +14,10 @@ ALLOWED_UNREACHED = {
     "metrics.ConfusionMatrix.merge": "a method of ConfusionMatrix, an exported class",
 }
 
+# Dataclasses whose every field must be set by some caller.
+CONFIG_CLASSES = ("BackboneConfig", "ModelConfig", "PyramidConfig", "AugmentConfig",
+                  "OptimConfig", "SynthConfig")
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in pyrseg.__all__ if not hasattr(pyrseg, name)]
@@ -55,12 +59,16 @@ def _uses(tree):
                 yield node.value, node.lineno
 
 
+def _trees():
+    files = [*sorted((ROOT / "src" / "pyrseg").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
 def test_every_definition_in_src_is_named_outside_itself():
     # A def or class in src/ must be named by src/ or perfbench/ somewhere
     # other than its own body, or be exported; tests alone do not keep it.
-    files = [*sorted((ROOT / "src" / "pyrseg").glob("*.py")),
-             *sorted((ROOT / "perfbench").glob("*.py"))]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    trees = _trees()
     uses = {}
     for path, tree in trees.items():
         for name, line in _uses(tree):
@@ -75,3 +83,30 @@ def test_every_definition_in_src_is_named_outside_itself():
             if not outside and name not in pyrseg.__all__:
                 unreached.add(qual)
     assert sorted(unreached) == sorted(ALLOWED_UNREACHED)
+
+
+def test_every_config_field_is_set_outside_its_class():
+    # A config field that no caller in src/ or perfbench/ passes by keyword
+    # has one value everywhere: it belongs in a constant, not in the config.
+    trees = _trees()
+    keywords = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                keywords.setdefault(node.arg, []).append((path, node.lineno))
+    found, unset = set(), set()
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name in CONFIG_CLASSES):
+                continue
+            found.add(cls.name)
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                name = stmt.target.id
+                outside = [k for k in keywords.get(name, [])
+                           if k[0] != path or not cls.lineno <= k[1] <= cls.end_lineno]
+                if not outside:
+                    unset.add(f"{cls.name}.{name}")
+    assert found == set(CONFIG_CLASSES)
+    assert sorted(unset) == []

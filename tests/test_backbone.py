@@ -63,8 +63,6 @@ def test_config_validation():
         BackboneConfig(dilation_plan=(0, 1, 2, 4))
     with pytest.raises(ValueError, match="unknown stem"):
         BackboneConfig(stem="conv5")
-    with pytest.raises(ValueError, match="aux_tap_stage"):
-        BackboneConfig(aux_tap_stage=5)
     with pytest.raises(ValueError, match="unknown preset"):
         preset("resnet152-layout")
 
@@ -80,7 +78,7 @@ def test_resnet_layout_presets():
 def test_zeroed_residual_branch_is_identity():
     # gamma=0 on the block's last BN kills the residual path; with an identity
     # shortcut the block reduces to ReLU(x) = x for non-negative input.
-    block = Bottleneck(8, 8, 2, stride=1, dilation=1, zero_init_bn=False)
+    block = Bottleneck(8, 8, 2, stride=1, dilation=1)
     init_parameters(block, seed=0)
     block.train(False)
     for name, p in block.named_parameters():
@@ -140,13 +138,6 @@ def test_dilated_plan_widens_receptive_field():
     plain = receptive_field_probe(dataclasses.replace(preset("toy"), dilation_plan=(1, 1, 1, 1)),
                                   input_size=256)
     assert dilated > plain
-
-
-def test_aux_tap_stage_selects_stage():
-    model, _ = _toy(aux_tap_stage=2)
-    x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
-    _, tap = model(x)
-    assert tap.shape[1] == 32  # stage-2 width
 
 
 def test_forward_deterministic_for_fixed_seed():

@@ -26,8 +26,7 @@ def _cfg(aux: bool = True) -> ModelConfig:
                                 dilation_plan=(1, 1, 1, 1)),
         pyramid=PyramidConfig(bin_sizes=(1, 2), pool_mode="average", dim_reduce=True),
         num_classes=3,
-        aux_enabled=aux,
-        aux_weight=0.4,
+        aux_weight=0.4 if aux else 0.0,
         head_channels=8,
     )
 

@@ -197,6 +197,24 @@ def test_zero_blur_sigma_exits_one_before_any_work(ds_dir, tmp_path, capsys, mon
     assert "error: blur_sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("rotation_deg", -5), ("head_channels", -1)])
+def test_negative_value_exits_one_before_any_data(tmp_path, capsys, monkeypatch, key, value):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("data was touched before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    monkeypatch.setattr(cli_mod, "synth_generate", no_data)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data_dir = /nonexistent\n{key} = {value}\n")
+    run = tmp_path / "run"
+    for command in ("train", "ablate"):
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 1
+        assert f"error: {key} must be >= " in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"

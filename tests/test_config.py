@@ -31,7 +31,7 @@ def test_parse_types_and_comments():
         base_lr = 0.025
         preset = resnet50-layout
         psp_bins = 1,3,6
-        aux_enabled = false
+        psp_enabled = false
         mirror_prob = 0.25
         """
     )
@@ -39,16 +39,16 @@ def test_parse_types_and_comments():
     assert cfg.base_lr == 0.025
     assert cfg.preset == "resnet50-layout"
     assert cfg.psp_bins == (1, 3, 6)
-    assert cfg.aux_enabled is False
+    assert cfg.psp_enabled is False
     assert cfg.mirror_prob == 0.25
 
 
 def test_parse_bool_forms():
-    assert parse_config_text("aux_enabled = true").aux_enabled is True
-    assert parse_config_text("aux_enabled = 1").aux_enabled is True
-    assert parse_config_text("aux_enabled = no").aux_enabled is False
+    assert parse_config_text("psp_enabled = true").psp_enabled is True
+    assert parse_config_text("psp_enabled = 1").psp_enabled is True
+    assert parse_config_text("psp_enabled = no").psp_enabled is False
     with pytest.raises(ValueError, match="boolean"):
-        parse_config_text("aux_enabled = maybe")
+        parse_config_text("psp_enabled = maybe")
 
 
 def test_tuple_values_accept_commas_or_spaces():

@@ -91,9 +91,9 @@ def test_engine_and_checker_cover_the_same_ops():
     labels = rng.integers(0, 4, size=(2, 64, 64)).astype(np.int64)
     training_ops = set()
     for preset in ("toy", "resnet50-layout"):
-        for aux in (True, False):
+        for aux_weight in (0.4, 0.0):
             for mode in ("average", "max"):
-                cfg = RunConfig(preset=preset, aux_enabled=aux, psp_mode=mode)
+                cfg = RunConfig(preset=preset, aux_weight=aux_weight, psp_mode=mode)
                 model = build_model(cfg.to_model_config(), seed=0)
                 with Graph() as g:
                     model.forward_train(x, labels)

@@ -10,13 +10,12 @@ from pyrseg.pyramid import PyramidConfig
 from pyrseg.tensor import Graph, Tensor, backward
 
 
-def _tiny(aux=True, pyramid=True, **overrides):
+def _tiny(pyramid=True, **overrides):
     return ModelConfig(
         backbone=BackboneConfig(stage_blocks=(1, 1, 1, 1), base_channels=8,
                                 dilation_plan=(1, 1, 1, 1)),
         pyramid=PyramidConfig(bin_sizes=(1, 2)) if pyramid else None,
         num_classes=3,
-        aux_enabled=aux,
         head_channels=8,
         **overrides,
     )
@@ -42,7 +41,7 @@ def test_forward_train_losses_and_weighting():
 
 def test_forward_train_without_aux():
     rng = np.random.default_rng(1)
-    model = build_model(_tiny(aux=False), seed=0)
+    model = build_model(_tiny(aux_weight=0.0), seed=0)
     x, labels = _batch(rng)
     with Graph():
         total, main, aux = model.forward_train(Tensor(x), labels)
@@ -87,8 +86,8 @@ def test_infer_ignores_aux_branch():
     # per-parameter init is keyed by name, and the aux head is never run.
     rng = np.random.default_rng(4)
     x, _ = _batch(rng)
-    with_aux = build_model(_tiny(aux=True), seed=7)
-    without = build_model(_tiny(aux=False), seed=7)
+    with_aux = build_model(_tiny(aux_weight=0.4), seed=7)
+    without = build_model(_tiny(aux_weight=0.0), seed=7)
     a = with_aux.forward_infer(Tensor(x))
     b = without.forward_infer(Tensor(x))
     assert np.array_equal(a.logits, b.logits)
@@ -114,7 +113,7 @@ def test_aux_parameters_live_under_aux_prefix():
     names = [n for n, _ in model.named_parameters()]
     aux_names = [n for n in names if n.startswith("aux/")]
     assert aux_names  # present when enabled
-    plain = build_model(_tiny(aux=False), seed=0)
+    plain = build_model(_tiny(aux_weight=0.0), seed=0)
     assert all(not n.startswith("aux/") for n, _ in plain.named_parameters())
     # trunk namespaces identical either way
     trunk = [n for n in names if not n.startswith("aux/")]
@@ -132,6 +131,10 @@ def test_config_validation():
         ModelConfig(aux_weight=1.5)
     with pytest.raises(ValueError, match="at least 2 classes"):
         ModelConfig(num_classes=1)
+    with pytest.raises(ValueError, match="head_channels"):
+        ModelConfig(head_channels=0)
+    with pytest.raises(ValueError, match="head_channels"):
+        RunConfig(head_channels=-1).to_model_config()
 
 
 def test_toy_default_parameter_budget():

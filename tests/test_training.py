@@ -21,13 +21,12 @@ from pyrseg.training import (
 )
 
 
-def _tiny_model(seed=0, aux=True):
+def _tiny_model(seed=0):
     cfg = ModelConfig(
         backbone=BackboneConfig(stage_blocks=(1, 1, 1, 1), base_channels=8,
                                 dilation_plan=(1, 1, 1, 1)),
         pyramid=PyramidConfig(bin_sizes=(1, 2), pool_mode="average", dim_reduce=True),
         num_classes=4,
-        aux_enabled=aux,
         aux_weight=0.4,
         head_channels=8,
     )
