@@ -121,11 +121,14 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-# Smallest accepted value of each run-control and batching key.
+# Smallest accepted value of each run-control, batching and synthetic-data key.
 _MINIMUMS = {
     "batch_size": 1, "log_every": 1, "ckpt_every": 0, "workers": 1,
     "ablate_iters": 1, "ablate_seeds": 1, "ablate_train_n": 1, "ablate_test_n": 1,
+    "synth_n": 1, "synth_count_min": 0, "synth_radius_min": 1, "synth_noise": 0,
 }
+# (low, high) key pairs of one range; high may equal low.
+_RANGES = (("synth_count_min", "synth_count_max"), ("synth_radius_min", "synth_radius_max"))
 
 
 def _parse_value(key: str, text: str):
@@ -177,6 +180,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     for key, low in _MINIMUMS.items():
         if getattr(cfg, key) < low:
             raise ValueError(f"config key {key} must be >= {low}, got {getattr(cfg, key)}")
+    for low, high in _RANGES:
+        if getattr(cfg, high) < getattr(cfg, low):
+            raise ValueError(f"config key {high} must be >= {low} = {getattr(cfg, low)}, "
+                             f"got {getattr(cfg, high)}")
     return cfg
 
 

@@ -5,6 +5,7 @@ summation) on purpose: these are the oracles, so they must not share code or
 vectorization tricks with the package.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -158,3 +159,13 @@ def metrics_naive(cm):
 
 def poly_lr_naive(base, iteration, max_iter, power):
     return base * (1.0 - iteration / max_iter) ** power
+
+
+def he_init_naive(shape, seed, name):
+    """He-normal conv weight from its own (seed, name)-keyed stream."""
+    h = int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
+    rng = np.random.default_rng([seed, h & 0xFFFFFFFF, h >> 32])
+    fan_in = 1
+    for d in shape[1:]:
+        fan_in *= d
+    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(np.float32)

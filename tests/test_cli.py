@@ -45,6 +45,29 @@ def test_synth_writes_dataset(ds_dir, capsys):
     assert img.shape == (64, 64, 3)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("synth_noise = -1", "synth_noise"),
+    ("synth_count_min = 9\nsynth_count_max = 5", "synth_count_max"),
+    ("synth_radius_min = 12\nsynth_radius_max = 6", "synth_radius_max"),
+    ("synth_count_min = -2", "synth_count_min"),
+    ("synth_radius_min = -3", "synth_radius_min"),
+    ("synth_n = 0", "synth_n"),
+])
+def test_synth_rejects_bad_keys_before_writing(tmp_path, capsys, monkeypatch, text, key):
+    import pyrseg.cli as cli_mod
+
+    def no_corpus(*args):
+        raise AssertionError("synth generated samples before checking the config")
+
+    monkeypatch.setattr(cli_mod, "synth_generate", no_corpus)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"synth_n = 2\n{text}\n")
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: config key {key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_refuses_overwrite_without_force(ds_dir, tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("synth_n = 2\n")

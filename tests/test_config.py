@@ -172,6 +172,7 @@ def test_to_optim_config_max_iter_override():
 @pytest.mark.parametrize("key,bad", [
     ("log_every", 0), ("ckpt_every", -1), ("workers", 0), ("batch_size", 0),
     ("ablate_iters", 0), ("ablate_seeds", 0), ("ablate_train_n", 0), ("ablate_test_n", 0),
+    ("synth_n", 0), ("synth_count_min", -1), ("synth_radius_min", 0), ("synth_noise", -1),
 ])
 def test_load_config_rejects_run_control_below_minimum(tmp_path, key, bad):
     path = tmp_path / "run.cfg"

@@ -1,8 +1,13 @@
 """Model assembly: loss wiring, aux-branch semantics, init determinism."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from reference import he_init_naive
 
+from pyrseg import layers
 from pyrseg.backbone import BackboneConfig
 from pyrseg.config import RunConfig
 from pyrseg.model import ModelConfig, PSPNet, build_model
@@ -106,6 +111,56 @@ def test_init_deterministic_and_name_keyed():
         if p1.data.std() > 0  # conv weights; BN gamma/beta are constant-initialized
     )
     assert diffs > 0
+
+
+def _build_on_cores(monkeypatch, preset, cores, seed):
+    """build_model with the init pool sized for `cores` cores; returns the
+    model and the set of threads that drew a weight."""
+    threads = set()
+    name_rng = layers._name_rng
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return name_rng(*args)
+
+    monkeypatch.setattr(layers, "_cores", lambda: cores)
+    monkeypatch.setattr(layers, "_name_rng", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost job would show
+    try:
+        return build_model(RunConfig(preset=preset).to_model_config(), seed=seed), threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("preset", ["toy", "resnet50-layout"])
+def test_conv_weights_equal_the_he_init_oracle_for_any_core_count(monkeypatch, preset, cores):
+    model, threads = _build_on_cores(monkeypatch, preset, cores, seed=7)
+    if preset == "toy" or cores == 1:
+        assert threads == {threading.get_ident()}  # toy is too small to pay for a thread
+    else:
+        assert 2 <= len(threads) <= cores
+    convs = [(name, mod.params.weight.data) for name, mod in model.named_modules()
+             if isinstance(mod, layers.Conv2d)]
+    assert len(convs) == {"toy": 37, "resnet50-layout": 60}[preset]
+    for name, w in convs:
+        expected = he_init_naive(w.shape, 7, f"{name}/weight")
+        assert w.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("preset", ["toy", "resnet50-layout"])
+def test_init_leaves_everything_but_conv_weights_at_constructor_values(monkeypatch, preset,
+                                                                        cores):
+    model, _ = _build_on_cores(monkeypatch, preset, cores, seed=7)
+    constant = {"gamma": 1.0, "beta": 0.0, "bias": 0.0, "running_mean": 0.0, "running_var": 1.0}
+    tensors = [(n, p.data) for n, p in model.named_parameters() if not n.endswith("/weight")]
+    tensors += list(model.named_buffers())
+    assert {n.rsplit("/", 1)[1] for n, _ in tensors} == set(constant)
+    for name, value in tensors:
+        assert value.dtype == np.float32
+        assert np.array_equal(value, np.full_like(value, constant[name.rsplit("/", 1)[1]])), name
 
 
 def test_aux_parameters_live_under_aux_prefix():
