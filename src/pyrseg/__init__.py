@@ -11,7 +11,7 @@ from .data import AugmentConfig, SegBatch, SegSample, augment, load_dataset, \
     write_dataset
 from .metrics import ConfusionMatrix, evaluate, mean_iou, multi_scale_infer, \
     pixel_accuracy
-from .model import ModelConfig, PSPNet, Prediction, build_model
+from .model import ModelConfig, PSPNet, build_model
 from .optim import SGD, OptimConfig, poly_lr
 from .pyramid import PyramidConfig, PyramidPooling, psp_ablation_variants
 from .synth import SynthConfig, synth_generate
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentConfig", "Backbone", "BackboneConfig", "ConfusionMatrix", "Graph",
-    "ModelConfig", "OptimConfig", "PSPNet", "Prediction", "PyramidConfig",
+    "ModelConfig", "OptimConfig", "PSPNet", "PyramidConfig",
     "PyramidPooling", "RunConfig", "SGD", "SegBatch", "SegSample", "SynthConfig",
     "Tensor", "augment", "backbone_preset", "backward", "build_model",
     "evaluate", "finite_diff_check", "load_checkpoint", "load_config",

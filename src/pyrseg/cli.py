@@ -15,7 +15,7 @@ from .config import RunConfig, format_config, load_config
 from .data import class_palette, load_dataset, write_dataset
 from .metrics import evaluate, mean_iou, multi_scale_infer, per_class_report, \
     pixel_accuracy
-from .model import build_model
+from .model import build_model, check_trainable
 from .optim import SGD
 from .pnm import read_ppm, write_pgm, write_ppm
 from .synth import synth_generate
@@ -53,6 +53,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     mcfg = cfg.to_model_config()
     ocfg = cfg.to_optim_config()
     acfg = cfg.to_augment_config()
+    check_trainable(mcfg, cfg.batch_size, acfg.crop_size)
     samples = load_dataset(cfg.data_dir, cfg.num_classes)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,14 +118,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
                                 allow_prune=args.allow_prune)
     img = read_ppm(args.image).astype(np.float32) / 255.0
     img = np.ascontiguousarray(img.transpose(2, 0, 1))
-    _, h, w = img.shape
-    ph, pw = (-h) % 8, (-w) % 8
-    if ph or pw:
-        img = np.pad(img, ((0, 0), (0, ph), (0, pw)),
-                     constant_values=cfg.pad_image_mean)
-        print(f"padded {h}x{w} -> {h + ph}x{w + pw}")
-    pred = multi_scale_infer(model, img, cfg.scales, cfg.min_scale_size)
-    labels = pred.label_map[:h, :w].astype(np.uint8)
+    prob = multi_scale_infer(model, img, cfg.scales, cfg.min_scale_size)
+    labels = prob.argmax(axis=0).astype(np.uint8)  # ties go to the lowest class
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -143,6 +138,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     base = cfg.to_model_config()
     ocfg = cfg.to_optim_config(max_iter=cfg.ablate_iters)
     acfg = cfg.to_augment_config()
+    variant_cells = ablate_mod.variant_cells(base)
+    cells = variant_cells + ablate_mod.alpha_cells(base)
+    for _, cell in cells:
+        check_trainable(cell, cfg.batch_size, acfg.crop_size)
     scfg = ablate_mod.context_dataset_config(cfg.seed)
     corpus = synth_generate(scfg, cfg.ablate_train_n + cfg.ablate_test_n)
     train_samples = corpus[: cfg.ablate_train_n]
@@ -153,10 +152,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"run variant={row.name} seed={row.seed} "
               f"mean_iou={row.mean_iou:.4f} pixel_acc={row.pixel_acc:.4f}")
 
-    variant_cells = ablate_mod.variant_cells(base)
-    rows = ablate_mod.run_cells(
-        variant_cells + ablate_mod.alpha_cells(base), train_samples, test_samples,
-        ocfg, acfg, seeds=seeds, batch_size=cfg.batch_size, progress=progress)
+    rows = ablate_mod.run_cells(cells, train_samples, test_samples, ocfg, acfg,
+                                seeds=seeds, batch_size=cfg.batch_size, progress=progress)
     split = len(variant_cells) * len(seeds)
     variant_rows, alpha_rows = rows[:split], rows[split:]
 

@@ -107,7 +107,7 @@ class RunConfig:
             pad_value_image=self.pad_image_mean,
         )
 
-    def to_synth_config(self, seed: int | None = None) -> SynthConfig:
+    def to_synth_config(self) -> SynthConfig:
         return SynthConfig(
             canvas=self.synth_canvas,
             num_scene_classes=self.synth_scenes,
@@ -115,7 +115,7 @@ class RunConfig:
             object_count_range=(self.synth_count_min, self.synth_count_max),
             object_radius_range=(self.synth_radius_min, self.synth_radius_max),
             noise_sigma=self.synth_noise,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
 

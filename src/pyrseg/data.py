@@ -41,7 +41,7 @@ class SegSample:
 @dataclass
 class SegBatch:
     images: np.ndarray  # float32 (N, 3, H, W)
-    labels: np.ndarray  # int64 (N, H, W)
+    labels: np.ndarray  # uint8 (N, H, W), values in [0, K) or 255
 
 
 @dataclass
@@ -320,7 +320,7 @@ def collate(samples: list[SegSample]) -> SegBatch:
         if s.image.shape != shape:
             raise ValueError(f"batch needs identical sizes, got {shape} vs {s.image.shape}")
     images = np.stack([s.image for s in samples]).astype(np.float32, copy=False)
-    labels = np.stack([s.labels for s in samples]).astype(np.int64)
+    labels = np.stack([s.labels for s in samples])
     return SegBatch(images, labels)
 
 

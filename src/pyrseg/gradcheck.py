@@ -284,8 +284,7 @@ CASES = [
 ]
 
 
-def run_case(name: str, builder, seeds: int = DEFAULT_SEEDS,
-             tol: float = TOLERANCE) -> CheckResult:
+def run_case(name: str, builder, seeds: int) -> CheckResult:
     worst, worst_seed = 0.0, -1
     for s in range(seeds):
         rng = np.random.default_rng([0, 101, s])
@@ -294,17 +293,11 @@ def run_case(name: str, builder, seeds: int = DEFAULT_SEEDS,
         if err > worst:
             worst, worst_seed = err, s
     return CheckResult(name=name, seeds=seeds, worst=worst,
-                       worst_seed=worst_seed, ok=worst < tol)
+                       worst_seed=worst_seed, ok=worst < TOLERANCE)
 
 
-def run_suite(seeds: int = DEFAULT_SEEDS, tol: float = TOLERANCE,
-              names: list[str] | None = None) -> list[CheckResult]:
-    results = []
-    for name, builder in CASES:
-        if names is not None and name not in names:
-            continue
-        results.append(run_case(name, builder, seeds, tol))
-    return results
+def run_suite() -> list[CheckResult]:
+    return [run_case(name, builder, DEFAULT_SEEDS) for name, builder in CASES]
 
 
 def format_report(results: list[CheckResult]) -> str:

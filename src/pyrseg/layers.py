@@ -73,24 +73,16 @@ class Module:
 
 
 class ModuleList(Module):
-    def __init__(self, modules=()) -> None:
-        super().__init__()
-        self._items: list[Module] = []
-        for m in modules:
-            self.append(m)
+    """Children named '0', '1', ... in append order."""
 
     def append(self, module: Module) -> None:
-        setattr(self, str(len(self._items)), module)
-        self._items.append(module)
+        setattr(self, str(len(self._children)), module)
 
     def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
+        return iter(self._children.values())
 
     def __getitem__(self, i: int) -> Module:
-        return self._items[i]
+        return self._children[str(i)]
 
 
 class Conv2d(Module):

@@ -6,8 +6,9 @@ import io
 
 import numpy as np
 
+from . import ops
 from .data import IGNORE_LABEL, resize_image
-from .model import PSPNet, Prediction
+from .model import PSPNet
 from .tensor import Tensor
 
 DEFAULT_SCALES = (0.5, 0.75, 1.0, 1.25, 1.5)
@@ -103,12 +104,12 @@ def _scaled_size(extent: int, scale: float) -> int:
 
 
 def multi_scale_infer(model: PSPNet, image: np.ndarray,
-                      scales=DEFAULT_SCALES, min_size: int = 64) -> Prediction:
-    """Average the probability maps over rescaled copies of one (3, H, W) image.
+                      scales=DEFAULT_SCALES, min_size: int = 64) -> np.ndarray:
+    """(K, H, W) class probabilities of one (3, H, W) image, averaged over
+    rescaled copies of it.
 
     Scaled sizes are rounded to multiples of 8; a scale whose size drops below
-    min_size is an error. logits pass through only for the trivial single-scale
-    case; an averaged prob_map has no single logits tensor.
+    min_size is an error.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected one (3, H, W) image, got {image.shape}")
@@ -117,7 +118,6 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
         raise ValueError("need at least one scale")
     _, h, w = image.shape
     acc = None
-    passthrough = None
     for s in scales:
         th, tw = _scaled_size(h, s), _scaled_size(w, s)
         if th < min_size or tw < min_size:
@@ -125,21 +125,17 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
                 f"scale {s} gives {th}x{tw}, below the minimum size {min_size}"
             )
         scaled = image if (th, tw) == (h, w) else resize_image(image, (th, tw))
-        pred = model.forward_infer(Tensor(scaled[None]))
-        prob = pred.prob_map[0]
+        prob = ops.stable_softmax(model.forward_infer(Tensor(scaled[None])), axis=1)[0]
         if (th, tw) != (h, w):
             prob = resize_image(prob, (h, w))
-        elif len(scales) == 1:
-            passthrough = pred.logits[0]
         acc = prob if acc is None else acc + prob
-    avg = acc / len(scales)
-    return Prediction(logits=passthrough, label_map=avg.argmax(axis=0), prob_map=avg)
+    return acc / len(scales)
 
 
 def evaluate(model: PSPNet, samples, num_classes: int, scales=(1.0,),
              min_size: int = 64) -> ConfusionMatrix:
     cm = ConfusionMatrix(num_classes)
     for sample in samples:
-        pred = multi_scale_infer(model, sample.image, scales, min_size)
-        cm.accumulate(pred.label_map, sample.labels)
+        prob = multi_scale_infer(model, sample.image, scales, min_size)
+        cm.accumulate(prob.argmax(axis=0), sample.labels)  # ties go to the lowest class
     return cm

@@ -35,15 +35,6 @@ class ModelConfig:
             raise ValueError(f"head_channels must be >= 1, got {self.head_channels}")
 
 
-@dataclass
-class Prediction:
-    """logits is None for multi-scale averaged output (prob_map is the result)."""
-
-    logits: np.ndarray | None
-    label_map: np.ndarray
-    prob_map: np.ndarray
-
-
 class ClassifierHead(Module):
     """3x3 conv -> BN -> ReLU -> 1x1 conv to class logits."""
 
@@ -95,22 +86,36 @@ class PSPNet(Module):
         total = main + aux * float(self.cfg.aux_weight)
         return total, main, aux
 
-    def forward_infer(self, x: Tensor) -> Prediction:
-        """Main path only, BN on running stats; aux branch is never evaluated."""
+    def forward_infer(self, x: Tensor) -> np.ndarray:
+        """(N, K, H, W) logits of the main path, BN on running stats; the aux
+        branch is never evaluated."""
         self.train(False)
         _, _, h, w = x.shape
         logits, _ = self._main_logits(x)
-        logits = ops.bilinear_upsample(logits, (h, w))
-        z = logits.data
-        return Prediction(
-            logits=z,
-            label_map=z.argmax(axis=1),  # ties resolve to the lowest class index
-            prob_map=ops.stable_softmax(z, axis=1),
-        )
+        return ops.bilinear_upsample(logits, (h, w)).data
 
     def count_parameters(self) -> int:
         """Number of scalar parameters (aux branch included)."""
         return sum(p.size for _, p in self.named_parameters())
+
+
+def check_trainable(cfg: ModelConfig, batch_size: int, crop_size: int) -> None:
+    """Reject a config whose first training step would fail: every batch norm
+    needs at least 2 values per channel, and the pyramid's bins must fit the
+    stride-8 map of a crop."""
+    extent = crop_size // 8
+    if batch_size * extent ** 2 < 2:
+        raise ValueError(f"batch_size {batch_size} at crop_size {crop_size} gives each batch "
+                         f"norm 1 value per channel on {extent}x{extent} maps; need 2")
+    if cfg.pyramid is None:
+        return
+    if cfg.pyramid.dim_reduce and batch_size < 2:
+        raise ValueError(f"batch_size {batch_size} gives the bin-1 batch norm of "
+                         f"psp_dim_reduce 1 value per channel; need batch_size >= 2")
+    largest = max(cfg.pyramid.bin_sizes)
+    if largest > extent:
+        raise ValueError(f"psp_bins' largest bin {largest} exceeds the {extent}x{extent} "
+                         f"feature map of crop_size {crop_size}; need crop_size >= {8 * largest}")
 
 
 def build_model(cfg: ModelConfig, seed: int) -> PSPNet:

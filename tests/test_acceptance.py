@@ -5,6 +5,7 @@ captured stdout) for the per-criterion verdict lines with measured values.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,10 +59,11 @@ def _toy_run_config() -> RunConfig:
 
 def test_a1_gradient_check_suite():
     t0 = time.perf_counter()
-    results = gradcheck.run_suite(seeds=20, tol=1e-4)
+    results = gradcheck.run_suite()
     elapsed = time.perf_counter() - t0
     worst = max(r.worst for r in results)
-    ok = all(r.ok for r in results) and elapsed < 120.0
+    pinned = gradcheck.TOLERANCE == 1e-4 and all(r.seeds == 20 for r in results)
+    ok = pinned and all(r.ok for r in results) and elapsed < 120.0
     _verdict(
         "A1 gradient-check suite",
         ok,
@@ -144,8 +146,8 @@ def test_a4_aux_branch_equivalence(tmp_path):
 
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32))
-    za = with_aux.forward_infer(x).logits
-    zb = pruned.forward_infer(x).logits
+    za = with_aux.forward_infer(x)
+    zb = pruned.forward_infer(x)
     ok = np.array_equal(za, zb)
     _verdict("A4 aux-branch equivalence", ok,
              f"logits bitwise identical on {za.shape} = {ok}")
@@ -279,7 +281,7 @@ def test_a9_psp_channel_arithmetic():
 def test_a10_checkpoint_round_trip_and_resume(tmp_path):
     rc = _toy_run_config()
     cfg = rc.to_model_config()
-    samples = synth_generate(rc.to_synth_config(seed=5), 8)
+    samples = synth_generate(replace(rc, seed=5).to_synth_config(), 8)
     aug = rc.to_augment_config()
     ocfg = rc.to_optim_config(max_iter=6)
 
@@ -317,14 +319,14 @@ def test_a10_checkpoint_round_trip_and_resume(tmp_path):
 def test_a11_multi_scale_identity():
     rc = _toy_run_config()
     model = build_model(rc.to_model_config(), seed=1)
-    img = synth_generate(rc.to_synth_config(seed=9), 1)[0].image
+    img = synth_generate(replace(rc, seed=9).to_synth_config(), 1)[0].image
 
-    single = model.forward_infer(Tensor(img[None]))
+    single = ops.stable_softmax(model.forward_infer(Tensor(img[None])), axis=1)
     ms_one = multi_scale_infer(model, img, (1.0,))
-    probs_ok = np.array_equal(ms_one.prob_map, single.prob_map[0])
+    probs_ok = np.array_equal(ms_one, single[0])
 
     ms_two = multi_scale_infer(model, img, (1.0, 1.0))
-    argmax_ok = np.array_equal(ms_two.label_map, ms_one.label_map)
+    argmax_ok = np.array_equal(ms_two.argmax(axis=0), ms_one.argmax(axis=0))
     ok = probs_ok and argmax_ok
     _verdict("A11 multi-scale identity", ok,
              f"[1.0] probs bitwise={probs_ok}, [1.0, 1.0] same argmax={argmax_ok}")

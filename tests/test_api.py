@@ -110,3 +110,63 @@ def test_every_config_field_is_set_outside_its_class():
                     unset.add(f"{cls.name}.{name}")
     assert found == set(CONFIG_CLASSES)
     assert sorted(unset) == []
+
+
+def _defaulted_parameters(tree, module):
+    """(qualified name, called name, positional parameters, defaulted
+    parameters) of every def, nested ones included. A method's positional
+    parameters leave out self; __init__ is called by its class name."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{prefix}.{child.name}"
+                a = child.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                if in_class:
+                    positional = positional[1:]
+                name = prefix.rsplit(".", 1)[-1] if child.name == "__init__" else child.name
+                out.append((qual, name, positional, defaulted))
+                visit(child, qual, False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, module, False)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A parameter with a default that no call in src/ or perfbench/ sets has
+    # one value everywhere: it belongs in the body, not in the signature. A
+    # call sets a parameter by keyword, by position, or by forwarding *args
+    # or **kwargs; a recursive call counts.
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for path, tree in trees.items():
+        if path.parent.name != "pyrseg":
+            continue
+        for qual, name, positional, defaulted in _defaulted_parameters(tree, path.stem):
+            if qual in ALLOWED_UNREACHED:
+                continue
+            set_here = set()
+            for call in calls.get(name, []):
+                if any(isinstance(a, ast.Starred) for a in call.args) or \
+                        any(k.arg is None for k in call.keywords):
+                    set_here.update(defaulted)
+                set_here.update(positional[:len(call.args)])
+                set_here.update(k.arg for k in call.keywords)
+            unset.update(f"{qual}({p})" for p in defaulted if p not in set_here)
+    assert sorted(unset) == []

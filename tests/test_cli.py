@@ -14,6 +14,7 @@ import pytest
 from pyrseg import checkpoint as ckpt
 from pyrseg.cli import build_parser, main
 from pyrseg.config import RunConfig, load_config
+from pyrseg.metrics import multi_scale_infer
 from pyrseg.model import build_model
 from pyrseg.pnm import read_pgm, read_ppm, write_ppm
 
@@ -109,7 +110,9 @@ def test_train_eval_predict_round_trip(ds_dir, tmp_path, capsys):
     assert color.shape == (64, 64, 3)
 
 
-def test_predict_pads_non_multiple_of_8(ds_dir, tmp_path, capsys):
+def test_predict_writes_the_label_map_eval_scores(ds_dir, tmp_path, capsys):
+    # A side that is not a multiple of 8 is rounded to one at each scale,
+    # as in eval, so predict's labels are the argmax eval would score.
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--max-iter", "1",
@@ -119,14 +122,18 @@ def test_predict_pads_non_multiple_of_8(ds_dir, tmp_path, capsys):
     odd = tmp_path / "odd.ppm"
     rng = np.random.default_rng(0)
     write_ppm(odd, rng.integers(0, 256, size=(70, 67, 3)).astype(np.uint8))
-    rc = main(["predict", "--config", str(cfg),
+    rc = main(["predict", "--config", str(cfg), "--scales", "1.0,1.25",
                "--checkpoint", str(run / "final.pspc"),
                "--out", str(tmp_path / "pred"), str(odd)])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "padded 70x67 -> 72x72" in out
+    assert "padded" not in capsys.readouterr().out
     labels = read_pgm(tmp_path / "pred" / "odd_labels.pgm")
-    assert labels.shape == (70, 67)  # cropped back to the input extent
+
+    model, _, _ = ckpt.load(str(run / "final.pspc"), load_config(str(cfg)).to_model_config())
+    img = np.ascontiguousarray((read_ppm(odd).astype(np.float32) / 255.0).transpose(2, 0, 1))
+    expected = multi_scale_infer(model, img, (1.0, 1.25)).argmax(axis=0)
+    assert labels.shape == (70, 67)
+    assert np.array_equal(labels, expected)
 
 
 def test_multi_scale_eval_flag(ds_dir, tmp_path, capsys):
@@ -236,6 +243,40 @@ def test_negative_value_exits_one_before_any_data(tmp_path, capsys, monkeypatch,
         assert main([command, "--config", str(cfg), "--out", str(run)]) == 1
         assert f"error: {key} must be >= " in capsys.readouterr().err
     assert not run.exists()
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("batch_size = 1", ("batch_size", "psp_dim_reduce")),
+    ("psp_enabled = false\ncrop_size = 8\nbatch_size = 1", ("batch_size", "crop_size")),
+    ("crop_size = 16", ("psp_bins", "crop_size")),
+])
+def test_untrainable_config_exits_one_before_any_data(tmp_path, capsys, monkeypatch,
+                                                       text, keys):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("data was touched before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    monkeypatch.setattr(cli_mod, "synth_generate", no_data)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data_dir = /nonexistent\n{text}\n")
+    run = tmp_path / "run"
+    for command in ("train", "ablate"):
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(key in err for key in keys), err
+    assert not run.exists()
+
+
+def test_batch_of_one_trains_without_the_pyramid(ds_dir, tmp_path, capsys):
+    cfg = _train_cfg(tmp_path, ds_dir)
+    cfg.write_text(cfg.read_text() + "batch_size = 1\npsp_enabled = false\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--max-iter", "2", "--out", str(run)]) == 0
+    assert "iter=1" in capsys.readouterr().out
+    assert (run / "final.pspc").is_file()
 
 
 def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):

