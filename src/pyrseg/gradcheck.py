@@ -220,17 +220,8 @@ def _micro_config() -> ModelConfig:
 
 
 def _replace_param(model, name: str, new: Tensor) -> None:
-    *path, pname = name.split("/")
-    mod = model
-    for part in path:
-        mod = mod._children[part]
-    old = mod._params[pname]
-    mod._params[pname] = new
-    bundle = getattr(mod, "params", None)
-    if bundle is not None:
-        for attr in ("weight", "bias", "gamma", "beta"):
-            if getattr(bundle, attr, None) is old:
-                setattr(bundle, attr, new)
+    path, _, field = name.rpartition("/")
+    setattr(dict(model.named_modules())[path].params, field, new)
 
 
 def case_micro_model(rng):

@@ -1,7 +1,11 @@
 """Parameter-owning building blocks over the functional ops.
 
 Modules form a tree; parameter and buffer names join with '/' and are the
-checkpoint namespace, so renaming an attribute is a format change. Parameter
+checkpoint namespace, so renaming an attribute is a format change. A leaf's
+ops bundle (`params`) is the one store of its parameters and buffers: its
+Tensor fields are the parameters and its ndarray fields the buffers, in
+field order, so assigning a field changes what the op reads, what
+named_parameters() yields and what a checkpoint saves, all at once. Parameter
 init is derived from (seed, full parameter name), never from creation order:
 two configs that share a submodule tree get bitwise-identical weights for the
 shared part, which is what makes the aux-branch on/off comparison and the
@@ -23,21 +27,11 @@ from .tensor import Tensor
 
 
 class Module:
+    params = None  # a leaf's ops bundle: the one store of its parameters and buffers
+
     def __init__(self) -> None:
-        self._params: dict[str, Tensor] = {}
-        self._buffers: dict[str, np.ndarray] = {}
         self._children: dict[str, Module] = {}
         self.training = True
-
-    def add_param(self, name: str, value: np.ndarray) -> Tensor:
-        t = Tensor(np.asarray(value, dtype=np.float32), requires_grad=True)
-        self._params[name] = t
-        return t
-
-    def add_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
-        arr = np.asarray(value, dtype=np.float32)
-        self._buffers[name] = arr
-        return arr
 
     def __setattr__(self, name, value):
         if isinstance(value, Module):
@@ -50,15 +44,18 @@ class Module:
             sub = f"{prefix}/{name}" if prefix else name
             yield from child.named_modules(sub)
 
-    def named_parameters(self):
+    def _bundle_fields(self, kind: type):
         for root, mod in self.named_modules():
-            for name, p in mod._params.items():
-                yield (f"{root}/{name}" if root else name), p
+            if mod.params is not None:
+                for name, value in vars(mod.params).items():
+                    if isinstance(value, kind):
+                        yield (f"{root}/{name}" if root else name), value
+
+    def named_parameters(self):
+        return self._bundle_fields(Tensor)
 
     def named_buffers(self):
-        for root, mod in self.named_modules():
-            for name, b in mod._buffers.items():
-                yield (f"{root}/{name}" if root else name), b
+        return self._bundle_fields(np.ndarray)
 
     def train(self, mode: bool = True) -> "Module":
         for _, mod in self.named_modules():
@@ -90,11 +87,11 @@ class Conv2d(Module):
                  stride: int = 1, padding: int = 0, dilation: int = 1,
                  bias: bool = False) -> None:
         super().__init__()
-        weight = self.add_param("weight", np.zeros((out_channels, in_channels, kernel, kernel),
-                                                   np.float32))
-        b = self.add_param("bias", np.zeros(out_channels, np.float32)) if bias else None
-        self.params = ops.Conv2dParams(weight=weight, bias=b, stride=stride,
-                                       padding=padding, dilation=dilation)
+        shape = (out_channels, in_channels, kernel, kernel)
+        self.params = ops.Conv2dParams(
+            weight=Tensor(np.zeros(shape, np.float32), requires_grad=True),
+            bias=Tensor(np.zeros(out_channels, np.float32), requires_grad=True) if bias else None,
+            stride=stride, padding=padding, dilation=dilation)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.params)
@@ -103,12 +100,11 @@ class Conv2d(Module):
 class BatchNorm2d(Module):
     def __init__(self, channels: int) -> None:
         super().__init__()
-        gamma = self.add_param("gamma", np.ones(channels, np.float32))
-        beta = self.add_param("beta", np.zeros(channels, np.float32))
-        rm = self.add_buffer("running_mean", np.zeros(channels, np.float32))
-        rv = self.add_buffer("running_var", np.ones(channels, np.float32))
-        self.params = ops.BatchNormParams(gamma=gamma, beta=beta, running_mean=rm,
-                                          running_var=rv)
+        self.params = ops.BatchNormParams(
+            gamma=Tensor(np.ones(channels, np.float32), requires_grad=True),
+            beta=Tensor(np.zeros(channels, np.float32), requires_grad=True),
+            running_mean=np.zeros(channels, np.float32),
+            running_var=np.ones(channels, np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.batch_norm(x, self.params, self.training)
@@ -157,7 +153,7 @@ def _draw_until_empty(seed: int, jobs: deque) -> None:
 
 
 def init_parameters(model: Module, seed: int) -> None:
-    """He-init the conv weights of a freshly built model.
+    """He-init the conv weights (the 4-D parameters) of a freshly built model.
 
     Each weight draws from its own (seed, name)-keyed stream, so the weights
     are the same bits however the draws are scheduled. Up to one thread per
@@ -166,9 +162,8 @@ def init_parameters(model: Module, seed: int) -> None:
     Everything else keeps the value its constructor created: biases and BN
     beta 0, BN gamma 1, running mean 0 and variance 1.
     """
-    jobs = deque(sorted(((f"{name}/weight", mod.params.weight.data)
-                         for name, mod in model.named_modules() if isinstance(mod, Conv2d)),
-                        key=lambda job: -job[1].size))
+    jobs = deque(sorted(((name, p.data) for name, p in model.named_parameters()
+                         if p.data.ndim == 4), key=lambda job: -job[1].size))
     samples = sum(weight.size for _, weight in jobs)
     workers = min(len(jobs), _cores(), samples // _SAMPLES_PER_THREAD)
     if workers <= 1:

@@ -36,16 +36,6 @@ class ConfusionMatrix:
             raise ValueError(f"predicted label outside [0, {k})")
         self.counts += np.bincount(k * g + p, minlength=k * k).reshape(k, k)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("merging matrices of different class counts")
-        out = ConfusionMatrix(self.num_classes)
-        out.counts = self.counts + other.counts
-        return out
-
-    def reset(self) -> None:
-        self.counts[...] = 0
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -103,13 +93,25 @@ def _scaled_size(extent: int, scale: float) -> int:
     return max(8, int(round(extent * scale / 8.0)) * 8)
 
 
+def _scaled_sizes(h: int, w: int, scales, min_size: int) -> list[tuple[int, int]]:
+    """(height, width) of an h x w image at each scale; an error if any side
+    drops below min_size."""
+    sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in scales]
+    for s, (th, tw) in zip(scales, sizes):
+        if th < min_size or tw < min_size:
+            raise ValueError(f"a {h}x{w} image at scale {s} gives {th}x{tw}, below the "
+                             f"minimum size {min_size}; drop the scale from scales or lower "
+                             f"min_scale_size")
+    return sizes
+
+
 def multi_scale_infer(model: PSPNet, image: np.ndarray,
                       scales=DEFAULT_SCALES, min_size: int = 64) -> np.ndarray:
     """(K, H, W) class probabilities of one (3, H, W) image, averaged over
     rescaled copies of it.
 
     Scaled sizes are rounded to multiples of 8; a scale whose size drops below
-    min_size is an error.
+    min_size is an error, raised before the first forward.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected one (3, H, W) image, got {image.shape}")
@@ -118,12 +120,7 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
         raise ValueError("need at least one scale")
     _, h, w = image.shape
     acc = None
-    for s in scales:
-        th, tw = _scaled_size(h, s), _scaled_size(w, s)
-        if th < min_size or tw < min_size:
-            raise ValueError(
-                f"scale {s} gives {th}x{tw}, below the minimum size {min_size}"
-            )
+    for th, tw in _scaled_sizes(h, w, scales, min_size):
         scaled = image if (th, tw) == (h, w) else resize_image(image, (th, tw))
         prob = ops.stable_softmax(model.forward_infer(Tensor(scaled[None])), axis=1)[0]
         if (th, tw) != (h, w):
@@ -134,6 +131,8 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
 
 def evaluate(model: PSPNet, samples, num_classes: int, scales=(1.0,),
              min_size: int = 64) -> ConfusionMatrix:
+    for sample in samples:  # every image's sizes are checked before the first forward
+        _scaled_sizes(*sample.image.shape[1:], scales, min_size)
     cm = ConfusionMatrix(num_classes)
     for sample in samples:
         prob = multi_scale_infer(model, sample.image, scales, min_size)

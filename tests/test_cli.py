@@ -279,6 +279,62 @@ def test_batch_of_one_trains_without_the_pyramid(ds_dir, tmp_path, capsys):
     assert (run / "final.pspc").is_file()
 
 
+def test_a_one_sample_last_batch_exits_one_before_training(tmp_path, capsys, monkeypatch):
+    # 5 samples at batch_size 2 end each epoch on a batch of 1, which the
+    # dim-reducing pyramid's bin-1 batch norm cannot train on.
+    import pyrseg.cli as cli_mod
+
+    synth = tmp_path / "synth.cfg"
+    synth.write_text("synth_n = 5\n")
+    assert main(["synth", "--config", str(synth), "--out", str(tmp_path / "ds")]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the last batch was checked")
+
+    monkeypatch.setattr(cli_mod, "train_loop", no_training)
+    monkeypatch.setattr(cli_mod, "synth_generate", no_training)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'ds'}\nbatch_size = 2\n"
+                   "ablate_train_n = 5\nablate_test_n = 2\n")
+    run = tmp_path / "run"
+    for argv in (["train", "--max-iter", "4"], ["ablate"]):
+        assert main([*argv, "--config", str(cfg), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        for key in ("5 samples", "batch_size 2", "last batch of 1", "psp_dim_reduce"):
+            assert key in err, err
+    assert not run.exists()
+
+
+def test_a_too_small_scale_exits_one_before_any_inference(tmp_path, capsys, monkeypatch):
+    # Three 128-px images and one 64-px image at scales 0.5 and 1.0: the
+    # 64-px image at 0.5 is 32 px, below min_scale_size.
+    from pyrseg.data import write_dataset
+    from pyrseg.model import PSPNet
+    from pyrseg.synth import synth_generate
+
+    rc = load_config(None, {"synth_canvas": 128})
+    big = synth_generate(rc.to_synth_config(), 3)
+    small = synth_generate(load_config(None).to_synth_config(), 1)
+    write_dataset(tmp_path / "ds", big + small)
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'ds'}\n")
+    ckpt.save(str(tmp_path / "m.pspc"), build_model(rc.to_model_config(), seed=0), None, 0)
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inferred before every scale was checked")
+
+    monkeypatch.setattr(PSPNet, "forward_infer", no_inference)
+    common = ["--config", str(cfg), "--checkpoint", str(tmp_path / "m.pspc"),
+              "--out", str(tmp_path / "out")]
+    for argv in (["eval", "--scales", "0.5,1.0"],
+                 ["predict", "--scales", "1.0,0.5", str(tmp_path / "ds" / "images" / "0003.ppm")]):
+        assert main([*argv, *common]) == 1
+        err = capsys.readouterr().err
+        for key in ("64x64", "scale 0.5", "scales", "min_scale_size"):
+            assert key in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"

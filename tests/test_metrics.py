@@ -48,7 +48,7 @@ def test_matches_per_pixel_count_on_random_maps():
         assert abs(mean_iou(cm) - miou) < 1e-12
 
 
-def test_accumulate_is_additive_and_merge_matches():
+def test_accumulate_is_additive():
     rng = np.random.default_rng(7)
     a = rng.integers(0, 3, size=(20, 20))
     b = rng.integers(0, 3, size=(20, 20))
@@ -60,14 +60,7 @@ def test_accumulate_is_additive_and_merge_matches():
     xa, xb = ConfusionMatrix(3), ConfusionMatrix(3)
     xa.accumulate(a, gt_a)
     xb.accumulate(b, gt_b)
-    assert np.array_equal(one.counts, xa.merge(xb).counts)
-    xa.reset()
-    assert xa.total == 0
-
-
-def test_merge_rejects_different_sizes():
-    with pytest.raises(ValueError, match="different class counts"):
-        ConfusionMatrix(3).merge(ConfusionMatrix(4))
+    assert np.array_equal(one.counts, xa.counts + xb.counts)
 
 
 def test_accumulate_validates_inputs():

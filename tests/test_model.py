@@ -173,6 +173,36 @@ def test_aux_parameters_live_under_aux_prefix():
     assert trunk == [n for n, _ in plain.named_parameters()]
 
 
+def test_a_bundle_field_is_the_registered_and_saved_value(tmp_path):
+    # The op bundle is the one store: a field assigned on it is what
+    # named_parameters()/named_buffers() yield and what a checkpoint keeps.
+    from pyrseg import checkpoint
+
+    cfg = _tiny()
+    model = build_model(cfg, seed=0)
+    conv, bn = model.head.conv1.params, model.head.bn.params
+    weight = Tensor(np.full(conv.weight.shape, 0.5, np.float32), requires_grad=True)
+    mean = np.full(bn.running_mean.shape, 0.25, np.float32)
+    conv.weight, bn.running_mean = weight, mean
+    assert dict(model.named_parameters())["head/conv1/weight"] is weight
+    assert dict(model.named_buffers())["head/bn/running_mean"] is mean
+    checkpoint.save(str(tmp_path / "m.pspc"), model, None, 0)
+    loaded, _, _ = checkpoint.load(str(tmp_path / "m.pspc"), cfg)
+    saved = dict(loaded.named_parameters())["head/conv1/weight"].data
+    assert saved.tobytes() == weight.data.tobytes()
+    assert dict(loaded.named_buffers())["head/bn/running_mean"].tobytes() == mean.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["toy", "resnet50-layout"])
+def test_no_module_holds_an_array_outside_its_bundle(preset):
+    # An array a module holds outside its `params` bundle is never named,
+    # saved or updated by SGD.
+    model = PSPNet(RunConfig(preset=preset).to_model_config())
+    stray = [f"{name}.{attr}" for name, mod in model.named_modules()
+             for attr, value in vars(mod).items() if isinstance(value, (Tensor, np.ndarray))]
+    assert stray == []
+
+
 def test_baseline_head_consumes_backbone_channels():
     model = PSPNet(_tiny(pyramid=False))
     assert model.psp is None
