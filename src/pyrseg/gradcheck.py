@@ -1,6 +1,8 @@
 """Double-precision finite-difference verification of every backward pass.
 
-Each case builds a scalar objective from freshly drawn inputs and compares
+Each case builds one op (or a short chain, or the micro model's training
+loss) on freshly drawn inputs and returns its output. The checker projects
+that output onto a random array drawn from the case's generator and compares
 recorded gradients against central differences (see tensor.finite_diff_check).
 Inputs feeding kinked ops (relu, max pooling) are pushed away from the kink so
 the difference quotient stays two-sided valid.
@@ -17,7 +19,7 @@ from .backbone import BackboneConfig
 from .data import IGNORE_LABEL
 from .model import ModelConfig, build_model
 from .pyramid import PyramidConfig
-from .tensor import Tensor, finite_diff_check, tsum
+from .tensor import Tensor, finite_diff_check
 
 TOLERANCE = 1e-4
 DEFAULT_SEEDS = 20
@@ -36,10 +38,6 @@ def _t(rng: np.random.Generator, *shape: int, scale: float = 1.0) -> Tensor:
     return Tensor(rng.normal(size=shape, scale=scale), requires_grad=True)
 
 
-def _const(rng: np.random.Generator, shape) -> Tensor:
-    return Tensor(rng.normal(size=shape))
-
-
 def _away_from_zero(rng: np.random.Generator, *shape: int) -> Tensor:
     x = rng.normal(size=shape)
     return Tensor(x + 0.25 * np.sign(x), requires_grad=True)
@@ -52,54 +50,35 @@ def _distinct_grid(rng: np.random.Generator, *shape: int) -> Tensor:
     return Tensor(vals.reshape(shape), requires_grad=True)
 
 
-def _project(out: Tensor, proj: Tensor) -> Tensor:
-    return tsum(out * proj)
-
-
 # -- cases ---------------------------------------------------------------------
 
 
 def case_add(rng):
     a, b = _t(rng, 3, 4), _t(rng, 3, 4)
-    proj = _const(rng, (3, 4))
-    return (lambda a, b: _project(a + b, proj)), [a, b]
-
-
-def case_mul(rng):
-    a, b = _t(rng, 3, 4), _t(rng, 3, 4)
-    proj = _const(rng, (3, 4))
-    return (lambda a, b: _project(a * b, proj)), [a, b]
+    return (lambda a, b: a + b), [a, b]
 
 
 def case_scale(rng):
     a = _t(rng, 4, 3)
-    proj = _const(rng, (4, 3))
-    return (lambda a: _project(a * -1.7, proj)), [a]
+    return (lambda a: a * -1.7), [a]
 
 
 def case_relu(rng):
     x = _away_from_zero(rng, 2, 3, 4)
-    proj = _const(rng, (2, 3, 4))
-    return (lambda x: _project(ops.relu(x), proj)), [x]
+    return ops.relu, [x]
 
 
 def _conv_case(rng, xshape, wshape, stride, padding, dilation, bias):
     x = _t(rng, *xshape, scale=0.5)
     w = _t(rng, *wshape, scale=0.5)
     xs = [x, w]
-    b = None
     if bias:
-        b = _t(rng, wshape[0])
-        xs.append(b)
-    n, _, h, wd = xshape
-    ho = ops.conv_output_size(h, wshape[2], stride, padding, dilation)
-    wo = ops.conv_output_size(wd, wshape[3], stride, padding, dilation)
-    proj = _const(rng, (n, wshape[0], ho, wo))
+        xs.append(_t(rng, wshape[0]))
 
     def f(x, w, b=None):
         p = ops.Conv2dParams(weight=w, bias=b, stride=stride, padding=padding,
                              dilation=dilation)
-        return _project(ops.conv2d(x, p), proj)
+        return ops.conv2d(x, p)
 
     return f, xs
 
@@ -124,13 +103,12 @@ def case_batch_norm(rng):
     x = _t(rng, 2, 3, 4, 4)
     gamma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
     beta = _t(rng, 3)
-    proj = _const(rng, (2, 3, 4, 4))
 
     def f(x, gamma, beta):
         p = ops.BatchNormParams(gamma=gamma, beta=beta,
                                 running_mean=np.zeros(3, dtype=np.float32),
                                 running_var=np.ones(3, dtype=np.float32))
-        return _project(ops.batch_norm(x, p, training=True), proj)
+        return ops.batch_norm(x, p, training=True)
 
     return f, [x, gamma, beta]
 
@@ -141,44 +119,38 @@ def case_batch_norm_eval(rng):
     beta = _t(rng, 3)
     rm = rng.normal(size=3).astype(np.float32)
     rv = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
-    proj = _const(rng, (1, 3, 3, 3))
 
     def f(x, gamma, beta):
         p = ops.BatchNormParams(gamma=gamma, beta=beta, running_mean=rm.copy(),
                                 running_var=rv.copy())
-        return _project(ops.batch_norm(x, p, training=False), proj)
+        return ops.batch_norm(x, p, training=False)
 
     return f, [x, gamma, beta]
 
 
 def case_max_pool(rng):
     x = _distinct_grid(rng, 1, 2, 6, 6)
-    proj = _const(rng, (1, 2, 3, 3))
-    return (lambda x: _project(ops.max_pool2d(x, 3, 2, 1), proj)), [x]
+    return (lambda x: ops.max_pool2d(x, 3, 2, 1)), [x]
 
 
 def case_adaptive_avg(rng):
     x = _t(rng, 1, 2, 7, 7)
-    proj = _const(rng, (1, 2, 3, 3))
-    return (lambda x: _project(ops.adaptive_pool(x, 3, "average"), proj)), [x]
+    return (lambda x: ops.adaptive_pool(x, 3, "average")), [x]
 
 
 def case_adaptive_max(rng):
     x = _distinct_grid(rng, 1, 2, 5, 5)
-    proj = _const(rng, (1, 2, 2, 2))
-    return (lambda x: _project(ops.adaptive_pool(x, 2, "max"), proj)), [x]
+    return (lambda x: ops.adaptive_pool(x, 2, "max")), [x]
 
 
 def case_bilinear(rng):
     x = _t(rng, 1, 2, 3, 4)
-    proj = _const(rng, (1, 2, 7, 9))
-    return (lambda x: _project(ops.bilinear_upsample(x, (7, 9)), proj)), [x]
+    return (lambda x: ops.bilinear_upsample(x, (7, 9))), [x]
 
 
 def case_concat(rng):
     a, b = _t(rng, 1, 2, 3, 3), _t(rng, 1, 3, 3, 3)
-    proj = _const(rng, (1, 5, 3, 3))
-    return (lambda a, b: _project(ops.concat_channels([a, b]), proj)), [a, b]
+    return (lambda a, b: ops.concat_channels([a, b])), [a, b]
 
 
 def case_cross_entropy(rng):
@@ -193,7 +165,6 @@ def case_conv_bn_relu_pool(rng):
     w = _t(rng, 3, 2, 3, 3, scale=0.5)
     gamma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
     beta = _t(rng, 3)
-    proj = _const(rng, (1, 3, 2, 2))
 
     def f(x, w, gamma, beta):
         conv = ops.Conv2dParams(weight=w, stride=1, padding=1)
@@ -201,7 +172,7 @@ def case_conv_bn_relu_pool(rng):
                                  running_mean=np.zeros(3, dtype=np.float32),
                                  running_var=np.ones(3, dtype=np.float32))
         h = ops.relu(ops.batch_norm(ops.conv2d(x, conv), bn, training=True))
-        return _project(ops.adaptive_pool(h, 2, "average"), proj)
+        return ops.adaptive_pool(h, 2, "average")
 
     return f, [x, w, gamma, beta]
 
@@ -255,7 +226,6 @@ def case_micro_model(rng):
 
 CASES = [
     ("add", case_add),
-    ("mul", case_mul),
     ("scale", case_scale),
     ("relu", case_relu),
     ("conv_basic", case_conv_basic),
@@ -280,7 +250,7 @@ def run_case(name: str, builder, seeds: int) -> CheckResult:
     for s in range(seeds):
         rng = np.random.default_rng([0, 101, s])
         f, xs = builder(rng)
-        err = finite_diff_check(f, xs)
+        err = finite_diff_check(f, xs, rng)
         if err > worst:
             worst, worst_seed = err, s
     return CheckResult(name=name, seeds=seeds, worst=worst,

@@ -93,15 +93,27 @@ def _scaled_size(extent: int, scale: float) -> int:
     return max(8, int(round(extent * scale / 8.0)) * 8)
 
 
-def _scaled_sizes(h: int, w: int, scales, min_size: int) -> list[tuple[int, int]]:
-    """(height, width) of an h x w image at each scale; an error if any side
-    drops below min_size."""
-    sizes = [(_scaled_size(h, s), _scaled_size(w, s)) for s in scales]
-    for s, (th, tw) in zip(scales, sizes):
+def _scaled_sizes(model: PSPNet, h: int, w: int, scales,
+                  min_size: int) -> list[tuple[int, int]]:
+    """(height, width) of an h x w image at each scale; an error if a scale is
+    not positive, a side drops below min_size, or the stride-8 map is smaller
+    than the model's largest pyramid bin."""
+    pyramid = model.cfg.pyramid
+    largest = max(pyramid.bin_sizes) if pyramid is not None else 0
+    sizes = []
+    for s in scales:
+        if not s > 0:
+            raise ValueError(f"scale {s} is not positive; drop it from scales")
+        th, tw = _scaled_size(h, s), _scaled_size(w, s)
         if th < min_size or tw < min_size:
             raise ValueError(f"a {h}x{w} image at scale {s} gives {th}x{tw}, below the "
                              f"minimum size {min_size}; drop the scale from scales or lower "
                              f"min_scale_size")
+        if min(th, tw) // 8 < largest:
+            raise ValueError(f"a {h}x{w} image at scale {s} gives {th}x{tw}, whose "
+                             f"{th // 8}x{tw // 8} feature map is smaller than psp_bins' "
+                             f"largest bin {largest}; drop the scale from scales")
+        sizes.append((th, tw))
     return sizes
 
 
@@ -110,8 +122,9 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
     """(K, H, W) class probabilities of one (3, H, W) image, averaged over
     rescaled copies of it.
 
-    Scaled sizes are rounded to multiples of 8; a scale whose size drops below
-    min_size is an error, raised before the first forward.
+    Scaled sizes are rounded to multiples of 8. A scale that is not positive,
+    whose size drops below min_size, or whose stride-8 map is smaller than the
+    largest pyramid bin is an error, raised before the first forward.
     """
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected one (3, H, W) image, got {image.shape}")
@@ -120,7 +133,7 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
         raise ValueError("need at least one scale")
     _, h, w = image.shape
     acc = None
-    for th, tw in _scaled_sizes(h, w, scales, min_size):
+    for th, tw in _scaled_sizes(model, h, w, scales, min_size):
         scaled = image if (th, tw) == (h, w) else resize_image(image, (th, tw))
         prob = ops.stable_softmax(model.forward_infer(Tensor(scaled[None])), axis=1)[0]
         if (th, tw) != (h, w):
@@ -132,7 +145,7 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
 def evaluate(model: PSPNet, samples, num_classes: int, scales=(1.0,),
              min_size: int = 64) -> ConfusionMatrix:
     for sample in samples:  # every image's sizes are checked before the first forward
-        _scaled_sizes(*sample.image.shape[1:], scales, min_size)
+        _scaled_sizes(model, *sample.image.shape[1:], scales, min_size)
     cm = ConfusionMatrix(num_classes)
     for sample in samples:
         prob = multi_scale_infer(model, sample.image, scales, min_size)

@@ -3,16 +3,19 @@
 Tensors wrap numpy arrays (float32 by default; float64 is used by the
 finite-difference checker). While a Graph is active as a context manager,
 every op that touches a requires_grad tensor appends one node to the tape.
-backward(loss) replays the tape exactly once, in reverse recorded order,
-summing gradients where a tensor fans out to several consumers.
+backward(root, grad) replays the tape exactly once, in reverse recorded
+order, summing gradients where a tensor fans out to several consumers.
 
-The engine holds only the ops that PSPNet's training tape and the gradient
-checker record. Defined here: `add` and `mul` of two Tensors of equal shape
-(no broadcasting; a mismatch raises ValueError), `mul` by a number (the
-auxiliary loss weight), and `tsum`, the full reduction to a 0-d tensor onto
-which the checker projects. `Tensor + number` is a TypeError. The network
+The engine holds exactly the ops that PSPNet's training tape records.
+Defined here: `add` of two Tensors of equal shape (no broadcasting; a
+mismatch raises ValueError) and `mul` by a number (the auxiliary loss
+weight). `Tensor + number` and `Tensor * Tensor` are TypeErrors. The network
 ops (conv2d, batch_norm, relu, max_pool2d, adaptive_pool, bilinear_upsample,
 concat_channels, softmax_cross_entropy) live in ops.py.
+
+Seeding: `grad` is the gradient of the objective with respect to the root,
+an array of the root's shape. It may be left out only for a scalar root,
+which is then seeded with 1; the training loss is such a root.
 
 backward pops each node off the tape as it walks it, so a node's closure,
 the arrays it captured, its intermediate output and that output's .grad
@@ -27,6 +30,7 @@ instead of silently accumulating, and a graph can only be walked once.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,6 +82,7 @@ class Tensor:
     """Dense N-d array plus gradient bookkeeping."""
 
     __slots__ = ("data", "requires_grad", "grad", "graph")
+    __array_ufunc__ = None  # ndarray (op) Tensor is a TypeError, not an object array
 
     def __init__(self, data, requires_grad: bool = False, dtype=None) -> None:
         arr = np.asarray(data)
@@ -102,10 +107,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -117,10 +118,9 @@ class Tensor:
         return add(self, other)
 
     def __mul__(self, other) -> "Tensor":
+        if not isinstance(other, numbers.Real):
+            return NotImplemented
         return mul(self, other)
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
 
 
 def record_op(
@@ -138,10 +138,15 @@ def record_op(
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
-    if loss.size != 1:
-        raise RuntimeError(f"backward requires a scalar root, got shape {loss.shape}")
+def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
+    """Populate .grad for every requires_grad tensor reachable from loss,
+    seeding the walk with grad (ones for a scalar loss when left out)."""
+    if grad is None:
+        if loss.size != 1:
+            raise RuntimeError(f"backward requires a scalar root, got shape {loss.shape}")
+        grad = np.ones_like(loss.data)
+    elif np.shape(grad) != loss.shape:
+        raise ValueError(f"grad has shape {np.shape(grad)}, the root {loss.shape}")
     g = loss.graph
     if g is None:
         raise RuntimeError(
@@ -152,7 +157,7 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward already ran on this graph; record a new graph first")
     g.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(loss): grad}
     leaves: dict[int, Tensor] = {id(loss): loss}
     while g.nodes:
         node = g.nodes.pop()
@@ -183,45 +188,33 @@ def _set_grad(t: Tensor, garr: np.ndarray) -> None:
 # -- primitive ops ----------------------------------------------------------
 
 
-def _check_same_shape(a: Tensor, b: Tensor) -> None:
+def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b)
     return record_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a: Tensor, b: Tensor | float) -> Tensor:
-    """Elementwise product with an equal-shape Tensor, or scaling by a number."""
-    if isinstance(b, Tensor):
-        _check_same_shape(a, b)
-        return record_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-    s = float(b)
+def mul(a: Tensor, s: float) -> Tensor:
+    """a scaled by the number s."""
+    s = float(s)
     return record_op(a.data * s, (a,), lambda g: (g * s,))
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d tensor."""
-    return record_op(np.asarray(a.data.sum()), (a,),
-                     lambda g: (np.broadcast_to(g, a.shape).copy(),))
-
-
-def finite_diff_check(f, xs: Sequence[Tensor]) -> float:
+def finite_diff_check(f, xs: Sequence[Tensor], rng: np.random.Generator) -> float:
     """Max relative error between backward() and central differences.
 
-    Runs f on float64 copies of xs: one recorded pass for analytic grads,
-    then 2 unrecorded evaluations per input element. Relative error per
-    element is |a-n| / max(|a|, |n|, 1e-8).
+    Runs f on float64 copies of xs and projects its output, of any shape,
+    onto a standard normal array proj drawn from rng: one recorded pass
+    seeds backward with proj, then 2 unrecorded evaluations of
+    sum(f(xs) * proj) per input element. Relative error per element is
+    |a-n| / max(|a|, |n|, 1e-8).
     """
     eps = 1e-6
     xs64 = [Tensor(x.data.astype(np.float64), requires_grad=True) for x in xs]
     with Graph():
-        loss = f(*xs64)
-    if loss.size != 1:
-        raise RuntimeError(f"finite_diff_check needs a scalar objective, got shape {loss.shape}")
-    backward(loss)
+        out = f(*xs64)
+    proj = rng.normal(size=out.shape)
+    backward(out, proj)
 
     worst = 0.0
     for x in xs64:
@@ -230,9 +223,9 @@ def finite_diff_check(f, xs: Sequence[Tensor]) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            fp = float(f(*xs64).data)
+            fp = float((f(*xs64).data * proj).sum())
             flat[i] = orig - eps
-            fm = float(f(*xs64).data)
+            fm = float((f(*xs64).data * proj).sum())
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * eps)
             a = float(analytic[i])

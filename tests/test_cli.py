@@ -335,6 +335,58 @@ def test_a_too_small_scale_exits_one_before_any_inference(tmp_path, capsys, monk
     assert not (tmp_path / "out").exists()
 
 
+def _scale_check_run(tmp_path, monkeypatch, config_text, canvas):
+    """A dataset of canvas-px images, an untrained checkpoint of the config's
+    model and a forward_infer that fails; returns the common eval arguments."""
+    from pyrseg.data import write_dataset
+    from pyrseg.model import PSPNet
+    from pyrseg.synth import synth_generate
+
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'ds'}\n{config_text}")
+    rc = load_config(str(cfg), {"synth_canvas": canvas})
+    write_dataset(tmp_path / "ds", synth_generate(rc.to_synth_config(), 2))
+    ckpt.save(str(tmp_path / "m.pspc"), build_model(rc.to_model_config(), seed=0), None, 0)
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("inferred before every scale was checked")
+
+    monkeypatch.setattr(PSPNet, "forward_infer", no_inference)
+    return ["--config", str(cfg), "--checkpoint", str(tmp_path / "m.pspc"),
+            "--out", str(tmp_path / "out")]
+
+
+def test_a_scale_below_the_largest_bin_exits_one_before_any_inference(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 0.125 x 128 px clears min_scale_size 16, but its 2x2 stride-8 map cannot
+    # be pooled into the default pyramid's 6x6 bin.
+    common = _scale_check_run(tmp_path, monkeypatch, "min_scale_size = 16\n", 128)
+    for argv in (["eval", "--scales", "1.0,0.125"],
+                 ["predict", "--scales", "1.0,0.125",
+                  str(tmp_path / "ds" / "images" / "0000.ppm")]):
+        assert main([*argv, *common]) == 1
+        err = capsys.readouterr().err
+        for key in ("128x128", "scale 0.125", "psp_bins", "largest bin 6"):
+            assert key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config_text, flags, scale", [
+    ("scales = 0, 1.0\n", [], "scale 0.0"),
+    ("", ["--scales=-1.0,1.0"], "scale -1.0"),
+], ids=["config", "flag"])
+def test_a_non_positive_scale_exits_one_before_any_inference(tmp_path, capsys, monkeypatch,
+                                                             config_text, flags, scale):
+    # Without the pyramid and with min_scale_size 8, nothing else rejects the
+    # 8x8 image that a scale of 0 or below rounds to.
+    common = _scale_check_run(
+        tmp_path, monkeypatch, f"psp_enabled = false\nmin_scale_size = 8\n{config_text}", 64)
+    assert main(["eval", *flags, *common]) == 1
+    err = capsys.readouterr().err
+    assert scale in err and "not positive" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"

@@ -12,6 +12,7 @@ from pyrseg.metrics import (
     per_class_report,
     pixel_accuracy,
 )
+from pyrseg.model import ModelConfig
 from pyrseg.ops import stable_softmax
 
 from reference import confusion_naive, metrics_naive
@@ -175,10 +176,12 @@ def test_scaled_size_rounds_to_multiple_of_8():
 
 
 class _StubModel:
-    """forward_infer stand-in returning deterministic logits from the input."""
+    """forward_infer stand-in returning deterministic logits from the input;
+    it has no pyramid, so no bin limits the scales."""
 
     def __init__(self, k=3):
         self.k = k
+        self.cfg = ModelConfig(pyramid=None)
 
     def forward_infer(self, x):
         arr = x.data

@@ -199,7 +199,7 @@ def test_batch_norm_bits_match_two_branch_arithmetic(dtype, shape, training):
     xt = Tensor(x, requires_grad=True)
     with Graph():
         out = batch_norm(xt, p, training=training)
-        backward((out * Tensor(g)).sum())
+        backward(out, g)
 
     want = _bn_two_branch(x0, gamma0, beta0, rm, rv, g, training)
     assert out.data.dtype == dtype
@@ -224,7 +224,7 @@ def test_relu_forward_and_gate():
     with Graph():
         out = relu(x)
         assert np.array_equal(out.data, [0.0, 0.0, 3.0])
-        backward(out.sum())
+        backward(out, np.ones(3, dtype=np.float32))
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
@@ -249,7 +249,7 @@ def test_max_pool_backward_routes_to_argmax():
     x[0, 0, 1, 0] = 5.0
     t = Tensor(x, requires_grad=True)
     with Graph():
-        backward(max_pool2d(t, 2, 2).sum())
+        backward(max_pool2d(t, 2, 2), np.ones((1, 1, 1, 1), dtype=np.float32))
     want = np.zeros_like(x)
     want[0, 0, 1, 0] = 1.0
     assert np.array_equal(t.grad, want)
@@ -287,7 +287,7 @@ def test_adaptive_pool_rejects_oversized_bins():
 def test_adaptive_avg_backward_spreads_by_area():
     x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
     with Graph():
-        backward(adaptive_pool(x, 1, "average").sum())
+        backward(adaptive_pool(x, 1, "average"), np.ones((1, 1, 1, 1), dtype=np.float32))
     assert np.allclose(x.grad, 1.0 / 9.0)
 
 
@@ -296,7 +296,7 @@ def test_adaptive_pool_overlapping_bins_backward():
     # the sum of both bins' shares.
     x = Tensor(np.zeros((1, 1, 3, 1), dtype=np.float32), requires_grad=True)
     with Graph():
-        backward(adaptive_pool(x, (2, 1), "average").sum())
+        backward(adaptive_pool(x, (2, 1), "average"), np.ones((1, 1, 2, 1), dtype=np.float32))
     # bins are rows [0,2) and [1,3): each has area 2, middle row in both
     assert np.allclose(x.grad[0, 0, :, 0], [0.5, 1.0, 0.5])
 
@@ -347,7 +347,7 @@ def test_concat_channels_layout_and_backward():
         assert out.shape == (2, 5, 3, 3)
         assert np.array_equal(out.data[:, :2], a.data)
         assert np.array_equal(out.data[:, 2:], b.data)
-        backward((out * 3.0).sum())
+        backward(out * 3.0, np.ones(out.shape, dtype=np.float32))
     assert np.allclose(a.grad, 3.0)
     assert np.allclose(b.grad, 3.0)
 

@@ -16,11 +16,6 @@ from pyrseg.tensor import Graph, Tensor, backward
 from reference import adaptive_pool_naive, bilinear_naive, conv2d_naive
 
 
-def _backward_from(out: Tensor, g: np.ndarray) -> None:
-    """Backward from out with upstream gradient g (sum(out * g) is the root)."""
-    backward((out * Tensor(g)).sum())
-
-
 def _assert_adjoint(lhs_grad: np.ndarray, v: np.ndarray, oracle_out: np.ndarray,
                     g: np.ndarray) -> None:
     lhs = float(np.sum(lhs_grad.astype(np.float64) * v))
@@ -70,7 +65,7 @@ def test_conv2d_fuzz_forward_and_adjoint(case):
         assert out.shape == want.shape
         assert np.allclose(out.data, want, rtol=1e-5, atol=1e-4)
         g = rng.normal(size=out.shape).astype(np.float32)
-        _backward_from(out, g)
+        backward(out, g)
 
     v = rng.normal(size=x.shape)
     _assert_adjoint(xt.grad, v, conv2d_naive(v, w, None, stride, pad, dil), g)
@@ -99,7 +94,7 @@ def test_adaptive_avg_pool_fuzz_forward_and_adjoint(case):
         out = adaptive_pool(xt, bins, "average")
         assert np.allclose(out.data, adaptive_pool_naive(x, bins), atol=1e-5)
         g = rng.normal(size=out.shape).astype(np.float32)
-        _backward_from(out, g)
+        backward(out, g)
     v = rng.normal(size=x.shape)
     _assert_adjoint(xt.grad, v, adaptive_pool_naive(v, bins), g)
 
@@ -123,6 +118,6 @@ def test_bilinear_upsample_fuzz_forward_and_adjoint(case):
         out = bilinear_upsample(xt, out_hw)
         assert np.allclose(out.data, bilinear_naive(x, out_hw), atol=1e-5)
         g = rng.normal(size=out.shape).astype(np.float32)
-        _backward_from(out, g)
+        backward(out, g)
     v = rng.normal(size=x.shape)
     _assert_adjoint(xt.grad, v, bilinear_naive(v, out_hw), g)

@@ -19,14 +19,14 @@ from pyrseg.tensor import (
 
 def test_tensor_defaults_to_float32():
     t = Tensor([1, 2, 3])
-    assert t.dtype == np.float32
+    assert t.data.dtype == np.float32
     assert not t.requires_grad
     assert t.grad is None
 
 
 def test_tensor_keeps_float64():
     t = Tensor(np.zeros(4, dtype=np.float64))
-    assert t.dtype == np.float64
+    assert t.data.dtype == np.float64
 
 
 def test_no_recording_outside_graph():
@@ -34,13 +34,13 @@ def test_no_recording_outside_graph():
     out = a + a
     assert out.graph is None
     with pytest.raises(RuntimeError, match="not attached to a graph"):
-        backward(out.sum())
+        backward(out, np.ones(2))
 
 
 def test_no_recording_without_requires_grad():
     a = Tensor([1.0, 2.0])
     with Graph() as g:
-        _ = (a * 2.0).sum()
+        _ = a * 2.0 + a
     assert g.nodes == []
 
 
@@ -71,47 +71,66 @@ def test_backward_scalar_root_only():
             backward(out)
 
 
+def test_backward_grad_must_match_root_shape():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    for grad in (np.ones(3), np.ones((2, 1)), np.float64(1.0)):
+        with Graph():
+            out = a * 3.0
+            with pytest.raises(ValueError, match="grad has shape"):
+                backward(out, grad)
+
+
 def test_simple_chain_gradient():
     a = Tensor([1.0, -2.0, 3.0], requires_grad=True)
     with Graph():
-        loss = (a * 2.0).sum()
-        backward(loss)
-    assert np.allclose(a.grad, [2.0, 2.0, 2.0])
+        out = a * 2.0
+        backward(out, np.array([1.0, 0.5, -1.0]))
+    assert np.allclose(a.grad, [2.0, 1.0, -2.0])
+    assert np.allclose(out.grad, [1.0, 0.5, -1.0])
 
 
 def test_fanout_gradients_sum():
-    # y = a*a uses `a` twice; dy/da = 2a must come from summing both paths.
+    # y = a + a uses `a` twice; dy/da = 2 must come from summing both paths.
     a = Tensor([3.0, -4.0], requires_grad=True)
     with Graph():
-        backward((a * a).sum())
-    assert np.allclose(a.grad, [6.0, -8.0])
+        backward(a + a, np.array([1.0, -3.0]))
+    assert np.allclose(a.grad, [2.0, -6.0])
 
 
 def test_shape_mismatch_raises():
-    # add and mul take two Tensors of equal shape: no broadcasting, no
-    # promotion of a number on the add side and no raw arrays.
+    # add takes two Tensors of equal shape: no broadcasting, no promotion of
+    # a number and no raw arrays.
     a = Tensor(np.ones((2, 3)))
     for shape in [(1, 3), (4, 5)]:
         b = Tensor(np.ones(shape))
-        for op in (add, mul):
-            with pytest.raises(ValueError, match="shape mismatch"):
-                op(a, b)
-            with pytest.raises(ValueError, match="shape mismatch"):
-                op(b, a)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            add(a, b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            add(b, a)
         with pytest.raises(ValueError, match="shape mismatch"):
             _ = a + b
-        with pytest.raises(ValueError, match="shape mismatch"):
-            _ = a * b
+    for other in (1.0, np.ones((2, 3))):
+        with pytest.raises(TypeError):
+            _ = a + other
+        with pytest.raises(TypeError):
+            _ = other + a
+
+
+def test_mul_takes_only_a_number():
+    # mul scales by a number (the aux loss weight); there is no Tensor product.
+    a = Tensor(np.ones((2, 3)))
+    for other in (a, Tensor(np.ones((4, 5))), np.ones((2, 3))):
+        with pytest.raises(TypeError):
+            _ = a * other
     with pytest.raises(TypeError):
-        _ = a + 1.0
-    with pytest.raises(TypeError):
-        _ = a * np.ones((2, 3))
+        mul(a, a)
+    assert np.array_equal((a * np.float32(2.0)).data, np.full((2, 3), 2.0))
 
 
 def test_double_backward_rejected():
     a = Tensor([1.0], requires_grad=True)
     with Graph():
-        loss = (a * 2.0).sum()
+        loss = a * 2.0
         backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             backward(loss)
@@ -120,15 +139,15 @@ def test_double_backward_rejected():
 def test_backward_needs_explicit_zero():
     a = Tensor([1.0], requires_grad=True)
     with Graph():
-        backward((a * 2.0).sum())
+        backward(a * 2.0)
     with Graph():
-        loss = (a * 3.0).sum()
+        loss = a * 3.0
         with pytest.raises(RuntimeError, match="zero_grad"):
             backward(loss)
     a.grad = None
     assert a.grad is None
     with Graph():
-        backward((a * 3.0).sum())
+        backward(a * 3.0)
     assert np.allclose(a.grad, [3.0])
 
 
@@ -136,11 +155,11 @@ def test_grads_do_not_accumulate_across_graphs():
     # The explicit-zero contract means a fresh backward sees only its own graph.
     a = Tensor([1.0, 1.0], requires_grad=True)
     with Graph():
-        backward((a * 5.0).sum())
+        backward(a * 5.0, np.ones(2))
     first = a.grad.copy()
     a.grad = None
     with Graph():
-        backward((a * 5.0).sum())
+        backward(a * 5.0, np.ones(2))
     assert np.array_equal(first, a.grad)
 
 
@@ -155,7 +174,7 @@ def test_intermediate_grads_populated():
     a = Tensor([2.0], requires_grad=True)
     with Graph():
         mid = a * 3.0
-        backward((mid * 4.0).sum())
+        backward(mid * 4.0)
     assert np.allclose(mid.grad, [4.0])
     assert np.allclose(a.grad, [12.0])
 
@@ -167,13 +186,13 @@ def test_backward_releases_the_tape_without_gc():
     gc.disable()
     try:
         with Graph() as g:
-            h = x * w
-            z = h * h
-            loss = z.sum()
+            h = x + w
+            z = h * 2.0
+            out = z + x
         refs = [weakref.ref(h.data), weakref.ref(z.data)]
         del h, z
         assert refs[0]() is not None
-        backward(loss)
+        backward(out, np.ones((4, 3)))
         assert g.nodes == []
         assert [r() for r in refs] == [None, None]
     finally:
@@ -182,11 +201,11 @@ def test_backward_releases_the_tape_without_gc():
 
 
 def test_finite_diff_check_agrees_on_polynomial():
-    # x -> sum(x * x * 0.5): analytic gradient x, trivially correct.
+    # x -> x * 0.5 + x: analytic gradient 1.5 through both branches.
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
-        err = finite_diff_check(lambda t: (t * t * 0.5).sum(), [x])
+        err = finite_diff_check(lambda t: t * 0.5 + t, [x], rng)
         assert err < 1e-6
 
 
@@ -198,7 +217,7 @@ def test_finite_diff_check_catches_wrong_gradient():
         return record_op(t.data * 2.0, (t,), lambda g: (g * 3.0,))
 
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    err = finite_diff_check(lambda t: bad_double(t).sum(), [x])
+    err = finite_diff_check(bad_double, [x], np.random.default_rng(0))
     assert err > 0.1
 
 
@@ -206,10 +225,10 @@ def test_finite_diff_uses_float64_internally():
     seen = []
 
     def f(t):
-        seen.append(t.dtype)
-        return (t * t).sum()
+        seen.append(t.data.dtype)
+        return t * 2.0
 
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    finite_diff_check(f, [x])
+    finite_diff_check(f, [x], np.random.default_rng(0))
     assert all(d == np.float64 for d in seen)
-    assert x.dtype == np.float32  # caller's tensor untouched
+    assert x.data.dtype == np.float32  # caller's tensor untouched
