@@ -48,7 +48,7 @@ def train_and_eval(name: str, cfg: ModelConfig, train_samples: list[SegSample],
     """Train one cell and evaluate it. `batches` is shared by the cells of
     one seed (see `training.batch_for_iteration`)."""
     model = build_model(cfg, seed=seed)
-    sgd = SGD(dict(model.named_parameters()), optim_cfg)
+    sgd = SGD(model, optim_cfg)
     history = train_loop(model, sgd, train_samples, aug_cfg, optim_cfg,
                          seed=seed, batch_size=batch_size, batches=batches)
     cm = evaluate(model, test_samples, cfg.num_classes)

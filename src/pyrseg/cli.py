@@ -11,7 +11,7 @@ import numpy as np
 from . import ablate as ablate_mod
 from . import checkpoint as ckpt_mod
 from . import gradcheck as gradcheck_mod
-from .config import RunConfig, format_config, load_config
+from .config import RunConfig, format_config, load_config, parse_value
 from .data import class_palette, load_dataset, write_dataset
 from .metrics import evaluate, mean_iou, multi_scale_infer, per_class_report, \
     pixel_accuracy
@@ -31,7 +31,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "checkpoint", None) is not None:
         overrides["checkpoint"] = args.checkpoint
     if getattr(args, "scales", None) is not None:
-        overrides["scales"] = tuple(float(s) for s in args.scales.split(","))
+        overrides["scales"] = parse_value("scales", args.scales)
     if args.out is not None:
         overrides["out_dir"] = args.out
     cfg = load_config(args.config, overrides)
@@ -74,13 +74,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     resume_from = cfg.resume or cfg.checkpoint
     if resume_from:
         model, velocity, start_iter = ckpt_mod.load(resume_from, mcfg)
-        # a weights-only checkpoint has no velocities: they start at zero
-        sgd = SGD(dict(model.named_parameters()), ocfg, velocity or None)
         print(f"resumed iteration={start_iter} checkpoint={resume_from}")
     else:
-        model = build_model(mcfg, seed=cfg.seed)
-        sgd = SGD(dict(model.named_parameters()), ocfg)
-        start_iter = 0
+        model, velocity, start_iter = build_model(mcfg, seed=cfg.seed), None, 0
+    # a fresh run and a weights-only checkpoint have no velocities: they start at zero
+    sgd = SGD(model, ocfg, velocity or None)
 
     final_path = out / "final.pspc"
 

@@ -131,7 +131,7 @@ _MINIMUMS = {
 _RANGES = (("synth_count_min", "synth_count_max"), ("synth_radius_min", "synth_radius_max"))
 
 
-def _parse_value(key: str, text: str):
+def parse_value(key: str, text: str):
     default = _FIELDS[key].default
     if isinstance(default, bool):
         low = text.strip().lower()
@@ -140,17 +140,20 @@ def _parse_value(key: str, text: str):
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {key} expects a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
+    if isinstance(default, str):
+        return text.strip()
     if isinstance(default, tuple):
         elem = float if any(isinstance(v, float) for v in default) else int
-        parts = [p for p in text.replace(",", " ").split() if p]
-        if not parts:
-            raise ValueError(f"config key {key} expects a list, got {text!r}")
-        return tuple(elem(p) for p in parts)
-    return text.strip()
+        words, what = text.replace(",", " ").split(), f"a list of {elem.__name__}s"
+    else:
+        elem, words, what = type(default), [text], f"one {type(default).__name__}"
+    try:
+        values = tuple(map(elem, words))
+    except ValueError:
+        values = ()
+    if not values:
+        raise ValueError(f"config key {key} expects {what}, got {text!r}")
+    return values if isinstance(default, tuple) else values[0]
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -164,7 +167,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, value))
+        setattr(cfg, key, parse_value(key, value))
     return cfg
 
 

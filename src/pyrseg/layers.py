@@ -3,15 +3,15 @@
 Modules form a tree; parameter and buffer names join with '/' and are the
 checkpoint namespace, so renaming an attribute is a format change. A leaf's
 ops bundle (`params`) is the one store of its parameters and buffers: its
-Tensor fields are the parameters and its ndarray fields the buffers, in
-field order, so assigning a field changes what the op reads, what
-named_parameters() yields and what a checkpoint saves, all at once. Parameter
-init is derived from (seed, full parameter name), never from creation order:
-two configs that share a submodule tree get bitwise-identical weights for the
-shared part, which is what makes the aux-branch on/off comparison and the
-checkpoint prune test meaningful. A large model's per-weight streams are
-drawn concurrently, one thread per core; no stream depends on another, so the
-weights are the same bits for any core count.
+Tensor fields are the parameters and its ndarray fields the buffers, in field
+order, so assigning a field changes what the op reads, what
+named_parameters() yields, what SGD steps and what a checkpoint saves, all at
+once. Parameter init is derived from (seed, full parameter name), never from
+creation order: two configs that share a submodule tree get bitwise-identical
+weights for the shared part, which is what makes the aux-branch on/off
+comparison and the checkpoint prune test meaningful. A large model's
+per-weight streams are drawn concurrently, one thread per core; no stream
+depends on another, so the weights are the same bits for any core count.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import ops
 from .backbone import Backbone, BackboneConfig
+from .data import IGNORE_LABEL
 from .layers import BatchNorm2d, Conv2d, Module, init_parameters
 from .pyramid import PyramidConfig, PyramidPooling
 from .tensor import Tensor
@@ -29,8 +30,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.aux_weight <= 1.0:
             raise ValueError(f"aux_weight must be in [0, 1], got {self.aux_weight}")
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        if not 2 <= self.num_classes <= IGNORE_LABEL:
+            raise ValueError(f"need at least 2 classes and at most {IGNORE_LABEL} (labels are uint8 "
+                             f"and {IGNORE_LABEL} is the ignore label), got {self.num_classes}")
         if self.head_channels < 1:
             raise ValueError(f"head_channels must be >= 1, got {self.head_channels}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .layers import Module
 
 _BLOCK = 65536
 
@@ -49,41 +49,45 @@ def poly_lr(iteration: int, cfg: OptimConfig) -> float:
 
 
 class SGD:
-    """Velocity state is keyed by parameter name for checkpointing.
+    """Steps the model's parameters as named_parameters() yields them at each
+    step, then sets each applied .grad to None, so the gradient one backward
+    wrote is applied exactly once. Velocity state is keyed by parameter name
+    for checkpointing.
 
     velocity, if given, holds one array per parameter, of its shape, and the
     SGD updates those arrays in place (a resume passes the ones that
     checkpoint.load returned); otherwise every velocity starts at zero.
     """
 
-    def __init__(self, named_params: dict[str, Tensor], cfg: OptimConfig,
+    def __init__(self, model: Module, cfg: OptimConfig,
                  velocity: dict[str, np.ndarray] | None = None) -> None:
+        self.model = model
         self.cfg = cfg
-        self.params = dict(named_params)
+        shapes = {name: p.shape for name, p in model.named_parameters()}
         if velocity is None:
-            velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        elif ({n: v.shape for n, v in velocity.items()}
-              != {n: p.shape for n, p in self.params.items()}):
+            velocity = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        elif {n: v.shape for n, v in velocity.items()} != shapes:
             raise ValueError("velocity must hold one array per parameter, of its shape")
         self.velocity: dict[str, np.ndarray] = dict(velocity)
         self._scratch = np.empty(_BLOCK, dtype=np.float32)
 
     def step(self, lr: float) -> None:
         """Check every parameter first, so a bad one leaves all unchanged."""
-        for name, p in self.params.items():
+        params = list(self.model.named_parameters())
+        for name, p in params:
             if p.grad is None:
                 raise RuntimeError(f"parameter {name} has no gradient; run backward first")
-            if p.grad.shape != p.data.shape:
-                raise RuntimeError(f"parameter {name}: gradient shape {p.grad.shape} "
-                                   f"vs {p.data.shape}")
-            v = self.velocity[name]
+            v = self.velocity.get(name)
+            if v is None or not p.grad.shape == v.shape == p.data.shape:
+                raise RuntimeError(f"parameter {name} has shape {p.data.shape}, its gradient "
+                                   f"{p.grad.shape} and its velocity {getattr(v, 'shape', None)}")
             for what, arr in (("parameter", p.data), ("velocity", v)):
                 if arr.dtype != np.float32 or not arr.flags.c_contiguous:
                     raise RuntimeError(f"{what} {name} must be a C-contiguous float32 array")
         mu = self.cfg.momentum
         wd = self.cfg.weight_decay
         lr = float(lr)
-        for name, p in self.params.items():
+        for name, p in params:
             pf = p.data.reshape(-1)
             gf = p.grad.reshape(-1)
             vf = self.velocity[name].reshape(-1)
@@ -97,8 +101,4 @@ class SGD:
                 vb += t
                 np.multiply(vb, lr, out=t)
                 pb -= t
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
             p.grad = None
-

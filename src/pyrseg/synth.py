@@ -49,6 +49,9 @@ class SynthConfig:
             raise ValueError("need at least 2 scene and 2 object classes")
         if self.num_object_classes > self.num_scene_classes:
             raise ValueError("every object class needs a scene to pair with")
+        if self.num_classes > IGNORE_LABEL:
+            raise ValueError(f"{self.num_classes} scene plus object classes exceed {IGNORE_LABEL}: "
+                             f"labels are uint8 and {IGNORE_LABEL} is the ignore label")
         if self.canvas < 16:
             raise ValueError(f"canvas too small: {self.canvas}")
 

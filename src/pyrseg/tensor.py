@@ -18,14 +18,15 @@ an array of the root's shape. It may be left out only for a scalar root,
 which is then seeded with 1; the training loss is such a root.
 
 backward pops each node off the tape as it walks it, so a node's closure,
-the arrays it captured, its intermediate output and that output's .grad
+the arrays it captured, its intermediate output and that output's gradient
 are freed by refcount as soon as they are used; no reference cycle keeps
 an iteration's tape alive until the cyclic GC runs. Training memory is
 therefore one iteration's tape, and a walked graph holds no nodes.
 
-Gradients land in .grad, which must be empty at backward time: clear it
-first (via SGD.zero_grad). Re-running backward without clearing raises
-instead of silently accumulating, and a graph can only be walked once.
+Only leaves (tensors no node produced, such as parameters) receive .grad;
+a node output, the root included, never does. A leaf's .grad must be empty
+at backward time (SGD.step clears each gradient it applies): backward into
+a full .grad raises instead of accumulating, and a graph is walked once.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "graph")
     __array_ufunc__ = None  # ndarray (op) Tensor is a TypeError, not an object array
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None) -> None:
+    def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
@@ -131,7 +130,7 @@ def record_op(
     """Wrap an op result; append a tape node if recording and grads are needed."""
     g = _active_graph
     needs = g is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs, dtype=data.dtype)
+    out = Tensor(data, requires_grad=needs)
     if needs:
         out.graph = g
         g.nodes.append(Node(inputs, out, backward_fn))
@@ -139,8 +138,8 @@ def record_op(
 
 
 def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss,
-    seeding the walk with grad (ones for a scalar loss when left out)."""
+    """Set .grad on every requires_grad leaf reachable from loss, seeding
+    the walk with grad (ones for a scalar loss when left out)."""
     if grad is None:
         if loss.size != 1:
             raise RuntimeError(f"backward requires a scalar root, got shape {loss.shape}")
@@ -157,32 +156,24 @@ def backward(loss: Tensor, grad: np.ndarray | None = None) -> None:
         raise RuntimeError("backward already ran on this graph; record a new graph first")
     g.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): grad}
-    leaves: dict[int, Tensor] = {id(loss): loss}
+    # id -> (tensor, gradient summed so far); a node output leaves when its
+    # node runs, so what is left at the end is the leaves
+    acc: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, grad)}
     while g.nodes:
         node = g.nodes.pop()
-        gout = grads.pop(id(node.output), None)
-        if gout is None:
+        entry = acc.pop(id(node.output), None)
+        if entry is None:
             continue
-        leaves.pop(id(node.output), None)
-        _set_grad(node.output, gout)
-        for t, gin in zip(node.inputs, node.backward_fn(gout)):
+        for t, gin in zip(node.inputs, node.backward_fn(entry[1])):
             if gin is None or not t.requires_grad:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gin
-            else:
-                grads[key] = gin
-                leaves[key] = t
-    for key, garr in grads.items():
-        _set_grad(leaves[key], garr)
-
-
-def _set_grad(t: Tensor, garr: np.ndarray) -> None:
-    if t.grad is not None:
-        raise RuntimeError("tensor already holds a gradient; call zero_grad before backward")
-    t.grad = np.ascontiguousarray(garr, dtype=t.data.dtype)
+            prev = acc.get(id(t))
+            acc[id(t)] = (t, gin if prev is None else prev[1] + gin)
+    for t, garr in acc.values():
+        if t.grad is not None:
+            raise RuntimeError("tensor already holds a gradient; step the optimizer or "
+                               "set .grad to None before backward")
+        t.grad = np.ascontiguousarray(garr, dtype=t.data.dtype)
 
 
 # -- primitive ops ----------------------------------------------------------

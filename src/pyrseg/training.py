@@ -102,7 +102,6 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
         if not math.isfinite(total_loss):
             raise RuntimeError(f"non-finite loss at iteration {it}")
         sgd.step(lr)
-        sgd.zero_grad()
         stats = IterStats(
             iteration=it,
             lr=lr,

@@ -83,7 +83,7 @@ def test_a2_overfit_sanity():
     t0 = time.perf_counter()
     model = build_model(model_cfg, seed=0)
     ocfg = rc.to_optim_config(max_iter=2000)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     train_loop(model, sgd, samples, rc.to_augment_config(), ocfg,
                seed=0, batch_size=4)
     elapsed = time.perf_counter() - t0
@@ -286,7 +286,7 @@ def test_a10_checkpoint_round_trip_and_resume(tmp_path):
     ocfg = rc.to_optim_config(max_iter=6)
 
     model = build_model(cfg, seed=5)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     mid = tmp_path / "mid.pspc"
 
     def snapshot(stats):
@@ -302,7 +302,7 @@ def test_a10_checkpoint_round_trip_and_resume(tmp_path):
     ckpt.save(str(again), loaded, velocity, start)
     round_trip_ok = mid.read_bytes() == again.read_bytes()
 
-    sgd2 = SGD(dict(loaded.named_parameters()), ocfg)
+    sgd2 = SGD(loaded, ocfg)
     for name in sgd2.velocity:
         sgd2.velocity[name][...] = velocity[name]
     resumed = train_loop(loaded, sgd2, samples, aug, ocfg, seed=5,

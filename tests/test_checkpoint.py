@@ -57,7 +57,7 @@ def _load_error(blob: bytes, path) -> str:
 def test_serialize_round_trip_bit_exact(tmp_path):
     cfg = _cfg()
     model = build_model(cfg, seed=3)
-    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    sgd = SGD(model, OptimConfig(max_iter=10))
     rng = np.random.default_rng(0)
     for v in sgd.velocity.values():
         v += rng.normal(size=v.shape).astype(np.float32)
@@ -209,7 +209,7 @@ def test_zero_dim_input_promoted_to_length_one():
 def test_model_save_load_round_trip(tmp_path):
     cfg = _cfg()
     model = build_model(cfg, seed=1)
-    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    sgd = SGD(model, OptimConfig(max_iter=10))
     for v in sgd.velocity.values():
         v += np.random.default_rng(0).normal(size=v.shape).astype(np.float32)
     path = tmp_path / "m.pspc"
@@ -238,7 +238,7 @@ def _owned_f32(arr: np.ndarray) -> bool:
 def test_load_skips_init_and_returns_owned_arrays(tmp_path, monkeypatch):
     cfg = _cfg(aux=True)
     model = build_model(cfg, seed=5)
-    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    sgd = SGD(model, OptimConfig(max_iter=10))
     for i, v in enumerate(sgd.velocity.values()):
         v += np.float32(0.25 * (i + 1))
     for _, b in model.named_buffers():
@@ -276,7 +276,7 @@ def test_load_peak_memory_is_params_plus_velocities(tmp_path):
     rc = load_config(None, {})
     cfg = rc.to_model_config()
     model = build_model(cfg, seed=0)
-    sgd = SGD(dict(model.named_parameters()), rc.to_optim_config())
+    sgd = SGD(model, rc.to_optim_config())
     path = tmp_path / "toy.pspc"
     ckpt.save(str(path), model, sgd.velocity, 1)
     state = (sum(p.data.nbytes for _, p in model.named_parameters())
@@ -307,7 +307,7 @@ def test_saved_files_byte_identical_across_saves(tmp_path):
 
 def test_save_writes_the_serialize_bytes(tmp_path):
     model = build_model(_cfg(), seed=2)
-    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    sgd = SGD(model, OptimConfig(max_iter=10))
     for v in sgd.velocity.values():
         v += 0.5
     path = tmp_path / "m.pspc"
@@ -422,7 +422,7 @@ def test_partial_optimizer_state_rejected(tmp_path):
 def test_allow_prune_drops_only_aux(tmp_path):
     full_cfg = _cfg(aux=True)
     model = build_model(full_cfg, seed=2)
-    sgd = SGD(dict(model.named_parameters()), OptimConfig(max_iter=10))
+    sgd = SGD(model, OptimConfig(max_iter=10))
     path = tmp_path / "full.pspc"
     ckpt.save(str(path), model, sgd.velocity, 9)
 

@@ -270,6 +270,45 @@ def test_untrainable_config_exits_one_before_any_data(tmp_path, capsys, monkeypa
     assert not run.exists()
 
 
+@pytest.mark.parametrize("command, text, flags, key", [
+    ("train", "batch_size = 2.5", [], "batch_size"),
+    ("train", "base_lr = fast", [], "base_lr"),
+    ("train", "psp_bins = 1 x 3", [], "psp_bins"),
+    ("eval", "", ["--scales", "1,x"], "scales"),
+], ids=["int", "float", "list", "scales-flag"])
+def test_a_value_that_does_not_parse_names_its_key(tmp_path, capsys, command, text, flags,
+                                                    key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data_dir = /nonexistent\n{text}\n")
+    run = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(run), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} expects "), err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("train", "num_classes = 256"),
+    ("synth", "synth_scenes = 200\nsynth_objects = 100"),
+], ids=["train", "synth"])
+def test_more_classes_than_uint8_labels_hold_exit_one_before_any_data(
+        tmp_path, capsys, monkeypatch, command, text):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("data was touched before the class count was checked")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    monkeypatch.setattr(cli_mod, "synth_generate", no_data)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data_dir = /nonexistent\n{text}\n")
+    run = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "255 is the ignore label" in err, err
+    assert not run.exists()
+
+
 def test_batch_of_one_trains_without_the_pyramid(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     cfg.write_text(cfg.read_text() + "batch_size = 1\npsp_enabled = false\n")

@@ -23,7 +23,7 @@ def test_multi_scale_does_not_hurt_fitted_train_set():
                         rotation_deg=0.0, blur_prob=0.0, crop_size=128)
     model = build_model(rc.to_model_config(), seed=0)
     ocfg = rc.to_optim_config(max_iter=400)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     train_loop(model, sgd, samples, aug, ocfg, seed=0, batch_size=4)
 
     single = evaluate(model, samples, rc.num_classes, scales=(1.0,))

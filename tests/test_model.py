@@ -209,6 +209,12 @@ def test_baseline_head_consumes_backbone_channels():
     assert model.head.conv1.params.weight.shape[1] == 64  # base 8 * 8
 
 
+def test_num_classes_fit_uint8_labels_beside_the_ignore_label():
+    assert ModelConfig(num_classes=255).num_classes == 255
+    with pytest.raises(ValueError, match="255 is the ignore label"):
+        ModelConfig(num_classes=256)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="aux_weight"):
         ModelConfig(aux_weight=1.5)

@@ -23,9 +23,9 @@ def test_pipeline_digest_repeats_in_one_tree(tmp_path):
                    for p in (tmp_path / "a").rglob("*") if p.is_file())
     assert [re.fullmatch(r"sha256 (\S+) = [0-9a-f]{64}", line).group(1)
             for line in first] == files
-    for output in ("train/iter000002.pspc", "resume/final.pspc", "eval3/metrics.csv",
-                   "predict100/0000_labels.pgm", "predict64/0000_labels.pgm",
-                   "ablate/ablation_alpha.csv", "logs/train.txt"):
+    for output in ("train/iter000002.pspc", "resume/final.pspc", "train_r50/final.pspc",
+                   "eval3/metrics.csv", "predict100/0000_labels.pgm",
+                   "predict64/0000_labels.pgm", "ablate/ablation_alpha.csv", "logs/train.txt"):
         assert output in files
     # the resumed run ends on the straight run's bits
     digest = dict(line.split()[1::2] for line in first)

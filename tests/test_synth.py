@@ -158,3 +158,9 @@ def test_more_scenes_extend_palette():
     assert len(set(colors)) == 5
     for i, s in enumerate(samples):
         assert (s.labels == i).any()
+
+
+def test_class_count_fits_uint8_labels_beside_the_ignore_label():
+    assert SynthConfig(num_scene_classes=200, num_object_classes=55).num_classes == 255
+    with pytest.raises(ValueError, match="255 is the ignore label"):
+        SynthConfig(num_scene_classes=200, num_object_classes=56)

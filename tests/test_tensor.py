@@ -86,7 +86,7 @@ def test_simple_chain_gradient():
         out = a * 2.0
         backward(out, np.array([1.0, 0.5, -1.0]))
     assert np.allclose(a.grad, [2.0, 1.0, -2.0])
-    assert np.allclose(out.grad, [1.0, 0.5, -1.0])
+    assert out.grad is None
 
 
 def test_fanout_gradients_sum():
@@ -142,7 +142,7 @@ def test_backward_needs_explicit_zero():
         backward(a * 2.0)
     with Graph():
         loss = a * 3.0
-        with pytest.raises(RuntimeError, match="zero_grad"):
+        with pytest.raises(RuntimeError, match="step the optimizer or set .grad to None"):
             backward(loss)
     a.grad = None
     assert a.grad is None
@@ -170,13 +170,19 @@ def test_nested_graphs_rejected():
                 pass
 
 
-def test_intermediate_grads_populated():
+def test_only_leaves_receive_gradients():
+    # out = (a * 3 + b) * 4 + a: the root and every intermediate stay empty.
     a = Tensor([2.0], requires_grad=True)
+    b = Tensor([5.0], requires_grad=True)
     with Graph():
         mid = a * 3.0
-        backward(mid * 4.0)
-    assert np.allclose(mid.grad, [4.0])
-    assert np.allclose(a.grad, [12.0])
+        fan = mid + b
+        top = fan * 4.0
+        out = top + a
+        backward(out)
+    assert [t.grad for t in (mid, fan, top, out)] == [None] * 4
+    assert np.allclose(a.grad, [13.0])
+    assert np.allclose(b.grad, [4.0])
 
 
 def test_backward_releases_the_tape_without_gc():

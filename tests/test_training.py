@@ -77,7 +77,7 @@ def test_shared_batches_train_the_same_bits():
     runs = []
     for batches in (None, shared, shared):
         cfg, model = _tiny_model()
-        sgd = SGD(dict(model.named_parameters()), ocfg)
+        sgd = SGD(model, ocfg)
         hist = train_loop(model, sgd, samples, _aug(), ocfg, seed=2, batch_size=2,
                           batches=batches)
         runs.append(([h.total_loss for h in hist],
@@ -132,7 +132,7 @@ def test_augment_rng_streams_distinct():
 def test_train_loop_history_and_callback():
     _, model = _tiny_model()
     ocfg = OptimConfig(max_iter=4)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     seen = []
     history = train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
                          batch_size=2, on_iteration=seen.append)
@@ -144,12 +144,23 @@ def test_train_loop_history_and_callback():
         assert h.lr > 0.0
 
 
+def test_train_loop_leaves_no_gradient_behind():
+    # each step applies and clears what that iteration's backward wrote
+    _, model = _tiny_model()
+    ocfg = OptimConfig(max_iter=3)
+    held = []
+    train_loop(model, SGD(model, ocfg), _corpus(), _aug(), ocfg, seed=0, batch_size=2,
+               on_iteration=lambda _: held.append(
+                   [n for n, p in model.named_parameters() if p.grad is not None]))
+    assert held == [[], [], []]
+
+
 def test_same_seed_same_trajectory():
     ocfg = OptimConfig(max_iter=3)
     losses = []
     for _ in range(2):
         _, model = _tiny_model(seed=5)
-        sgd = SGD(dict(model.named_parameters()), ocfg)
+        sgd = SGD(model, ocfg)
         history = train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=5, batch_size=2)
         losses.append([h.total_loss for h in history])
     assert losses[0] == losses[1]
@@ -160,7 +171,7 @@ def test_resume_matches_straight_run(tmp_path):
     samples = _corpus()
     ocfg = OptimConfig(max_iter=6)
     cfg, model = _tiny_model(seed=2)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     path = tmp_path / "mid.pspc"
 
     def snapshot(stats):
@@ -173,7 +184,7 @@ def test_resume_matches_straight_run(tmp_path):
 
     m2, velocity, start = ckpt.load(str(path), cfg, seed=77)
     assert start == 3
-    sgd2 = SGD(dict(m2.named_parameters()), ocfg)
+    sgd2 = SGD(m2, ocfg)
     for name in sgd2.velocity:
         sgd2.velocity[name][...] = velocity[name]
     rest = train_loop(m2, sgd2, samples, _aug(), ocfg, seed=2,
@@ -189,7 +200,7 @@ def test_resume_matches_straight_run(tmp_path):
 def test_start_iter_skips_the_prefix():
     _, model = _tiny_model()
     ocfg = OptimConfig(max_iter=5)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     history = train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
                          batch_size=2, start_iter=3)
     assert [h.iteration for h in history] == [3, 4]
@@ -198,7 +209,7 @@ def test_start_iter_skips_the_prefix():
 def test_start_iter_outside_schedule_rejected():
     _, model = _tiny_model()
     ocfg = OptimConfig(max_iter=2)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     for start in (4, -1):
         with pytest.raises(ValueError, match=rf"{start}.*\[0, 2\]"):
             train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0,
@@ -213,7 +224,7 @@ def test_non_finite_loss_stops_before_the_step():
     params["head/conv2/bias"].data[0] = np.nan
     snapshot = {n: p.data.copy() for n, p in params.items()}
     ocfg = OptimConfig(max_iter=3)
-    sgd = SGD(params, ocfg)
+    sgd = SGD(model, ocfg)
     seen = []
     with pytest.raises(RuntimeError, match="non-finite loss at iteration 0$"):
         train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0, batch_size=2,
@@ -226,7 +237,7 @@ def test_non_finite_loss_stops_before_the_step():
 def _traced_peak(iters):
     _, model = _tiny_model()
     ocfg = OptimConfig(max_iter=iters)
-    sgd = SGD(dict(model.named_parameters()), ocfg)
+    sgd = SGD(model, ocfg)
     samples = _corpus()
     gc.collect()
     gc.disable()

@@ -5,9 +5,11 @@
 Imports `pyrseg` from `<checkout>/src` (default: this file's checkout) and
 drives `pyrseg.cli.main` inside the work directory (default: a temporary one,
 removed afterwards). The pipeline: `synth` at a 100-px canvas and at 64 px;
-`train` with a mid-run checkpoint; `train` resumed from that checkpoint; `eval`
-at scale 1.0 and at 0.75,1.0,1.25; `predict` on one 100-px and one 64-px image;
-and a reduced `ablate`. Each command's stdout is kept as `logs/<step>.txt`.
+`train` with a mid-run checkpoint; `train` resumed from that checkpoint; one
+iteration of the resnet50-layout preset, which covers its threaded init, its
+conv7 stem with max pooling and its optimizer step; `eval` at scale 1.0 and at
+0.75,1.0,1.25; `predict` on one 100-px and one 64-px image; and a reduced
+`ablate`. Each command's stdout is kept as `logs/<step>.txt`.
 All paths are relative to the work directory, so the logs of two checkouts
 compare byte for byte. Prints one `sha256 <output> = <hex>` line per file the
 pipeline leaves in the work directory (its configs, outputs and logs), sorted
@@ -26,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 TRAIN = "data_dir = ds100\nbatch_size = 2\nlog_every = 1\nckpt_every = 2\n"
+R50 = "data_dir = ds100\npreset = resnet50-layout\nbatch_size = 2\n"
 ABLATE = "ablate_iters = 2\nablate_seeds = 1\nablate_train_n = 4\nablate_test_n = 2\n" \
          "batch_size = 2\n"
 
@@ -37,6 +40,8 @@ STEPS = [
                "--out", "train"]),
     ("resume", ["train", "--config", "train.cfg", "--seed", "1", "--max-iter", "4",
                 "--checkpoint", "train/iter000002.pspc", "--out", "resume"]),
+    ("train_r50", ["train", "--config", "r50.cfg", "--seed", "1", "--max-iter", "1",
+                   "--out", "train_r50"]),
     ("eval1", ["eval", "--config", "train.cfg", "--checkpoint", "train/final.pspc",
                "--out", "eval1"]),
     ("eval3", ["eval", "--config", "train.cfg", "--checkpoint", "train/final.pspc",
@@ -53,7 +58,8 @@ def run_pipeline(work: Path) -> list[str]:
     from pyrseg.cli import main
 
     configs = {"synth100.cfg": "synth_canvas = 100\nsynth_n = 6\n",
-               "synth64.cfg": "synth_n = 1\n", "train.cfg": TRAIN, "ablate.cfg": ABLATE}
+               "synth64.cfg": "synth_n = 1\n", "train.cfg": TRAIN, "r50.cfg": R50,
+               "ablate.cfg": ABLATE}
     for name, text in configs.items():
         (work / name).write_text(text)
     (work / "logs").mkdir()
