@@ -12,12 +12,12 @@ from . import ablate as ablate_mod
 from . import checkpoint as ckpt_mod
 from . import gradcheck as gradcheck_mod
 from .config import RunConfig, format_config, load_config, parse_value
-from .data import class_palette, load_dataset, write_dataset
+from .data import class_palette, load_dataset, read_image, write_dataset
 from .metrics import evaluate, mean_iou, multi_scale_infer, per_class_report, \
     pixel_accuracy
 from .model import build_model, check_trainable
 from .optim import SGD
-from .pnm import read_ppm, write_pgm, write_ppm
+from .pnm import write_pgm, write_ppm
 from .synth import synth_generate
 from .training import train_loop
 
@@ -127,9 +127,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError("predict needs --checkpoint")
     model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(),
                                 allow_prune=args.allow_prune)
-    img = read_ppm(args.image).astype(np.float32) / 255.0
-    img = np.ascontiguousarray(img.transpose(2, 0, 1))
-    prob = multi_scale_infer(model, img, cfg.scales, cfg.min_scale_size)
+    prob = multi_scale_infer(model, read_image(args.image), cfg.scales, cfg.min_scale_size)
     labels = prob.argmax(axis=0).astype(np.uint8)  # ties go to the lowest class
 
     out = Path(cfg.out_dir)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .backbone import preset as backbone_preset
@@ -144,14 +145,17 @@ def parse_value(key: str, text: str):
         return text.strip()
     if isinstance(default, tuple):
         elem = float if any(isinstance(v, float) for v in default) else int
-        words, what = text.replace(",", " ").split(), f"a list of {elem.__name__}s"
+        words = text.replace(",", " ").split()
+        what = "a list of finite floats" if elem is float else "a list of ints"
     else:
-        elem, words, what = type(default), [text], f"one {type(default).__name__}"
+        elem, words = type(default), [text]
+        what = "a finite float" if elem is float else "one int"
     try:
         values = tuple(map(elem, words))
     except ValueError:
         values = ()
-    if not values:
+    # float() accepts nan and inf, which pass every `<` check and train to NaN
+    if not values or elem is float and not all(map(math.isfinite, values)):
         raise ValueError(f"config key {key} expects {what}, got {text!r}")
     return values if isinstance(default, tuple) else values[0]
 

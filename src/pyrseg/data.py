@@ -1,5 +1,9 @@
 """Dataset ingestion, the augmentation suite, and batch assembly.
 
+A loaded image stays the file's 8-bit raster; `float_image` turns it into
+float32 byte / 255 where a step reads it (augment, multi-scale inference and
+save_sample), so a loaded set takes a quarter of the bytes of float32.
+
 Augmentation draw order per sample is fixed (resize scale, rotation angle,
 blur coin, blur sigma, mirror coin, crop offsets) so a per-sample generator
 fully determines the result.
@@ -20,12 +24,14 @@ IGNORE_LABEL = 255
 
 @dataclass
 class SegSample:
-    image: np.ndarray  # float32 (3, H, W), values in [0, 1]
+    image: np.ndarray  # (3, H, W): uint8 read as byte / 255, or float32 in [0, 1]
     labels: np.ndarray  # uint8 (H, W), values in [0, K) or 255
 
     def validate(self, num_classes: int) -> "SegSample":
         if self.image.ndim != 3 or self.image.shape[0] != 3:
             raise ValueError(f"image must be (3, H, W), got {self.image.shape}")
+        if self.image.dtype not in (np.uint8, np.float32):
+            raise ValueError(f"image must be uint8 or float32, got {self.image.dtype}")
         if self.labels.shape != self.image.shape[1:]:
             raise ValueError(
                 f"dim mismatch: image {self.image.shape[1:]} vs labels {self.labels.shape}"
@@ -65,7 +71,8 @@ class AugmentConfig:
             raise ValueError(f"blur_sigma_range needs 0 < min <= max, got {self.blur_sigma_range}")
         if self.rotation_deg < 0:
             raise ValueError(f"rotation_deg must be >= 0, got {self.rotation_deg}")
-        for name in ("mirror_prob", "blur_prob"):
+        # images are clipped to [0, 1] before padding; a pad outside it is no pixel value
+        for name in ("mirror_prob", "blur_prob", "pad_value_image"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
@@ -73,15 +80,25 @@ class AugmentConfig:
 # -- sample io ----------------------------------------------------------------
 
 
+def read_image(path) -> np.ndarray:
+    """The PPM at path as a C-contiguous uint8 (3, H, W) raster."""
+    return np.ascontiguousarray(pnm.read_ppm(path).transpose(2, 0, 1))
+
+
+def float_image(img: np.ndarray) -> np.ndarray:
+    """A uint8 raster as float32 byte / 255; a float32 image as it is."""
+    if img.dtype == np.uint8:
+        return img.astype(np.float32) / 255.0
+    return img
+
+
 def load_sample(image_path, label_path, num_classes: int) -> SegSample:
-    img = pnm.read_ppm(image_path).astype(np.float32) / 255.0
-    labels = pnm.read_pgm(label_path)
-    sample = SegSample(np.ascontiguousarray(img.transpose(2, 0, 1)), labels.copy())
+    sample = SegSample(read_image(image_path), pnm.read_pgm(label_path).copy())
     return sample.validate(num_classes)
 
 
 def save_sample(sample: SegSample, image_path, label_path) -> None:
-    img = np.clip(np.rint(sample.image * 255.0), 0, 255).astype(np.uint8)
+    img = np.clip(np.rint(float_image(sample.image) * 255.0), 0, 255).astype(np.uint8)
     pnm.write_ppm(image_path, np.ascontiguousarray(img.transpose(1, 2, 0)))
     pnm.write_pgm(label_path, sample.labels.astype(np.uint8))
 
@@ -267,7 +284,7 @@ def augment(sample: SegSample, cfg: AugmentConfig, rng: np.random.Generator) -> 
     a full-size map: its BLAS dot products may round a pixel differently
     when the map's shape changes.
     """
-    img, lab = sample.image, sample.labels
+    img, lab = float_image(sample.image), sample.labels
     _, h, w = img.shape
     crop = cfg.crop_size
 

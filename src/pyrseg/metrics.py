@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from . import ops
-from .data import IGNORE_LABEL, resize_image
+from .data import IGNORE_LABEL, float_image, resize_image
 from .model import PSPNet
 from .tensor import Tensor
 
@@ -119,8 +119,8 @@ def _scaled_sizes(model: PSPNet, h: int, w: int, scales,
 
 def multi_scale_infer(model: PSPNet, image: np.ndarray,
                       scales=DEFAULT_SCALES, min_size: int = 64) -> np.ndarray:
-    """(K, H, W) class probabilities of one (3, H, W) image, averaged over
-    rescaled copies of it.
+    """(K, H, W) class probabilities of one (3, H, W) image (uint8 or float32,
+    as float_image reads it), averaged over rescaled copies of it.
 
     Scaled sizes are rounded to multiples of 8. A scale that is not positive,
     whose size drops below min_size, or whose stride-8 map is smaller than the
@@ -131,6 +131,7 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
     scales = tuple(scales)
     if not scales:
         raise ValueError("need at least one scale")
+    image = float_image(image)
     _, h, w = image.shape
     acc = None
     for th, tw in _scaled_sizes(model, h, w, scales, min_size):

@@ -1,7 +1,8 @@
 """Binary PPM (P6) / PGM (P5) reading and writing, 8-bit only.
 
-Headers are magic, width, height, maxval as whitespace-separated tokens with
-'#' comments, then a single whitespace byte before the raster.
+Headers are magic, width, height, maxval as whitespace-separated tokens, then
+a single whitespace byte before the raster. A '#' comment runs to the end of
+its line and may stand wherever whitespace may.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def _read_token(f) -> bytes:
         if ch == b"#":
             while ch and ch != b"\n":
                 ch = f.read(1)
-            continue
+            ch = b"\n"  # a comment stands where whitespace may, so it ends a token
         if ch.isspace():
             if tok:
                 return tok
@@ -26,13 +27,19 @@ def _read_token(f) -> bytes:
         tok += ch
 
 
+def _read_number(f, path, field: str) -> int:
+    tok = _read_token(f)
+    if not tok.isdigit():
+        raise ValueError(f"{path}: {field} must be a decimal integer, got {tok!r}")
+    return int(tok)
+
+
 def _read_header(f, magic: bytes, path) -> tuple[int, int]:
     got = _read_token(f)
     if got != magic:
         raise ValueError(f"{path}: expected {magic.decode()} file, got magic {got!r}")
-    width = int(_read_token(f))
-    height = int(_read_token(f))
-    maxval = int(_read_token(f))
+    width, height, maxval = (_read_number(f, path, field)
+                             for field in ("width", "height", "maxval"))
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:

@@ -245,6 +245,30 @@ def test_negative_value_exits_one_before_any_data(tmp_path, capsys, monkeypatch,
     assert not run.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("base_lr = nan", "config key base_lr expects a finite float"),
+    ("weight_decay = inf", "config key weight_decay expects a finite float"),
+    ("rotation_deg = nan", "config key rotation_deg expects a finite float"),
+    ("pad_image_mean = nan", "config key pad_image_mean expects a finite float"),
+    ("pad_image_mean = 1.5", "pad_value_image must be in [0, 1], got 1.5"),
+], ids=["base_lr-nan", "weight_decay-inf", "rotation_deg-nan", "pad-nan", "pad-1.5"])
+def test_non_finite_or_out_of_range_float_exits_one_before_any_data(
+        tmp_path, capsys, monkeypatch, text, message):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("data was touched before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"data_dir = /nonexistent\n{text}\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("text, keys", [
     ("batch_size = 1", ("batch_size", "psp_dim_reduce")),
     ("psp_enabled = false\ncrop_size = 8\nbatch_size = 1", ("batch_size", "crop_size")),

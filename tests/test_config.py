@@ -117,6 +117,12 @@ def test_readme_config_table_names_every_field_once():
 def test_bad_value_type_rejected():
     with pytest.raises(ValueError):
         parse_config_text("max_iter = soon")
+    for text in ("resize_min = nan", "synth_noise = -inf", "scales = 1.0,nan"):
+        with pytest.raises(ValueError, match=f"config key {text.split()[0]} expects "
+                                             "(a|a list of) finite float"):
+            parse_config_text(text)
+    # only floats are checked for finiteness; an int too large for a float parses
+    assert parse_config_text("seed = " + "9" * 400).seed == int("9" * 400)
 
 
 def test_augment_config_validation():
@@ -132,8 +138,8 @@ def test_augment_config_validation():
     for sigmas in ((0.0, 0.0), (-0.5, 1.0), (1.0, 0.5)):
         with pytest.raises(ValueError, match="blur_sigma_range"):
             AugmentConfig(blur_sigma_range=sigmas)
-    for field in ("mirror_prob", "blur_prob"):
-        for p in (-0.1, 1.5):
+    for field in ("mirror_prob", "blur_prob", "pad_value_image"):
+        for p in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match=field):
                 AugmentConfig(**{field: p})
     AugmentConfig(crop_size=8, blur_sigma_range=(0.5, 0.5), mirror_prob=0.0, blur_prob=1.0)

@@ -14,6 +14,7 @@ from pyrseg.data import (
     augment,
     class_palette,
     collate,
+    float_image,
     gaussian_blur,
     load_dataset,
     load_sample,
@@ -178,15 +179,22 @@ def _augment_whole_map(sample, cfg, rng):
 ], ids=["default", "wide", "no-rotation"])
 def test_augment_bitwise_equals_whole_map_stages(cfg):
     # augment computes only the pixels its crop keeps; they must be exactly
-    # the pixels of the staged whole-map pipeline, padding included.
+    # the pixels of the staged whole-map pipeline, padding included. A uint8
+    # raster augments as its byte / 255 does.
     data_rng = np.random.default_rng(12)
     for i in range(30):
         h, w = (int(v) for v in data_rng.integers(9, 70, size=2))
         s = _sample(data_rng, h, w)
-        got = augment(s, cfg, np.random.default_rng([3, i]))
-        want_img, want_lab = _augment_whole_map(s, cfg, np.random.default_rng([3, i]))
-        assert got.image.tobytes() == np.ascontiguousarray(want_img).tobytes(), (i, h, w)
-        assert np.array_equal(got.labels, want_lab), (i, h, w)
+        raster = SegSample((s.image * 255.0).astype(np.uint8), s.labels)
+        for sample, image in ((s, s.image), (raster, raster.image.astype(np.float32) / 255.0)):
+            got = augment(sample, cfg, np.random.default_rng([3, i]))
+            want_img, want_lab = _augment_whole_map(SegSample(image, s.labels), cfg,
+                                                    np.random.default_rng([3, i]))
+            assert got.image.tobytes() == np.ascontiguousarray(want_img).tobytes(), (i, h, w)
+            assert np.array_equal(got.labels, want_lab), (i, h, w)
+        as_float = augment(SegSample(float_image(raster.image), s.labels), cfg,
+                           np.random.default_rng([3, i]))
+        assert got.image.tobytes() == as_float.image.tobytes(), (i, h, w)
 
 
 def test_augment_deterministic_per_generator():
@@ -238,6 +246,9 @@ def test_sample_validate():
     bad = SegSample(np.zeros((3, 4, 4), np.float32), np.full((4, 4), 7, np.uint8))
     with pytest.raises(ValueError, match="label 7 out of range"):
         bad.validate(4)
+    SegSample(np.zeros((3, 4, 4), np.uint8), np.zeros((4, 4), np.uint8)).validate(2)
+    with pytest.raises(ValueError, match="image must be uint8 or float32, got float64"):
+        SegSample(np.zeros((3, 4, 4), np.float64), np.zeros((4, 4), np.uint8)).validate(2)
 
 
 # -- file io ------------------------------------------------------------------
@@ -275,6 +286,25 @@ def test_read_ppm_rejects_bad_files(tmp_path, header, message):
         pnm.read_ppm(path)
 
 
+@pytest.mark.parametrize("header", [b"P6#x\n4 4\n255\n", b"P6\n4#w\n4\n255\n"],
+                         ids=["after-magic", "after-width"])
+def test_pnm_comment_ends_the_token_before_it(tmp_path, header):
+    raster = bytes(range(4 * 4 * 3))
+    plain, commented = tmp_path / "plain.ppm", tmp_path / "commented.ppm"
+    plain.write_bytes(b"P6\n4 4\n255\n" + raster)
+    commented.write_bytes(header + raster)
+    want = pnm.read_ppm(plain)
+    assert want.shape == (4, 4, 3)
+    assert np.array_equal(pnm.read_ppm(commented), want)
+
+
+def test_pnm_non_decimal_field_names_the_file_and_field(tmp_path):
+    path = tmp_path / "word.ppm"
+    path.write_bytes(b"P6\nx 4\n255\n" + bytes(48))
+    with pytest.raises(ValueError, match=r"word\.ppm: width must be a decimal integer"):
+        pnm.read_ppm(path)
+
+
 def test_read_ppm_rejects_a_pgm(tmp_path):
     path = tmp_path / "gray.pgm"
     pnm.write_pgm(path, np.zeros((2, 2), np.uint8))
@@ -288,7 +318,26 @@ def test_sample_round_trip_quantizes_to_8bit(tmp_path):
     save_sample(s, tmp_path / "i.ppm", tmp_path / "l.pgm")
     back = load_sample(tmp_path / "i.ppm", tmp_path / "l.pgm", 4)
     assert np.array_equal(back.labels, s.labels)
-    assert np.abs(back.image - s.image).max() <= 0.5 / 255.0 + 1e-6
+    assert np.abs(float_image(back.image) - s.image).max() <= 0.5 / 255.0 + 1e-6
+    # a loaded sample saves back to the same bytes
+    save_sample(back, tmp_path / "j.ppm", tmp_path / "m.pgm")
+    assert (tmp_path / "j.ppm").read_bytes() == (tmp_path / "i.ppm").read_bytes()
+    assert (tmp_path / "m.pgm").read_bytes() == (tmp_path / "l.pgm").read_bytes()
+
+
+def test_loaded_images_stay_8bit_and_read_as_byte_over_255(tmp_path):
+    rng = np.random.default_rng(19)
+    samples = [_sample(rng, h=64, w=64) for _ in range(256)]
+    write_dataset(tmp_path / "ds", samples)
+    back = load_dataset(tmp_path / "ds", 4)
+    assert all(b.image.dtype == np.uint8 and b.image.flags.c_contiguous for b in back)
+    held = sum(b.image.nbytes + b.labels.nbytes for b in back)
+    assert held == 256 * 64 * 64 * 4  # 4.0 MB; float32 images would hold 13.0 MB
+    for i, b in enumerate(back):
+        raw = pnm.read_ppm(tmp_path / "ds" / "images" / f"{i:04d}.ppm")
+        want = (raw.astype(np.float32) / 255.0).transpose(2, 0, 1)
+        assert float_image(b.image).tobytes() == np.ascontiguousarray(want).tobytes()
+    assert float_image(samples[0].image) is samples[0].image  # float32 passes uncopied
 
 
 def test_dataset_round_trip(tmp_path):

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from pyrseg.data import SegSample, float_image, load_dataset, write_dataset
 from pyrseg.metrics import (
     ConfusionMatrix,
     _scaled_size,
+    evaluate,
     mean_iou,
     multi_scale_infer,
     per_class_iou,
     per_class_report,
     pixel_accuracy,
 )
-from pyrseg.model import ModelConfig
+from pyrseg.model import ModelConfig, build_model
 from pyrseg.ops import stable_softmax
+from pyrseg.synth import SynthConfig, synth_generate
 
 from reference import confusion_naive, metrics_naive
 
@@ -217,6 +220,18 @@ def test_multi_scale_rejects_too_small():
         multi_scale_infer(_StubModel(), img, scales=())
     with pytest.raises(ValueError, match="expected one"):
         multi_scale_infer(_StubModel(), img[None], scales=(1.0,))
+
+
+def test_evaluate_reads_a_loaded_8bit_set_as_its_float_images(tmp_path):
+    write_dataset(tmp_path / "ds", synth_generate(SynthConfig(), 3))
+    loaded = load_dataset(tmp_path / "ds", 4)
+    as_float = [SegSample(float_image(s.image), s.labels) for s in loaded]
+    assert all(s.image.dtype == np.uint8 for s in loaded)
+    model = build_model(ModelConfig(), seed=0)
+    for scales in ((1.0,), (0.75, 1.0, 1.25)):
+        got = evaluate(model, loaded, 4, scales=scales, min_size=8)
+        want = evaluate(model, as_float, 4, scales=scales, min_size=8)
+        assert np.array_equal(got.counts, want.counts), scales
 
 
 def _wrap(img):
