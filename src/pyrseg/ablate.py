@@ -51,7 +51,7 @@ def train_and_eval(name: str, cfg: ModelConfig, train_samples: list[SegSample],
     sgd = SGD(model, optim_cfg)
     history = train_loop(model, sgd, train_samples, aug_cfg, optim_cfg,
                          seed=seed, batch_size=batch_size, batches=batches)
-    cm = evaluate(model, test_samples, cfg.num_classes)
+    cm = evaluate(model, test_samples)
     probe = min(10, len(history) - 1)
     return AblationRow(
         name=name,

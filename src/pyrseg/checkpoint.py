@@ -16,7 +16,8 @@ A load reads the file in order: one pass streams the CRC over the body in
 fixed-size chunks and then indexes each entry's name, dims and data offset;
 the census runs on that index; only then is each entry's data read straight
 into its model array or velocity. No whole-file buffer, no per-entry copy and
-no throwaway init, so a load needs about params + velocities of memory.
+no throwaway init, so a load needs about the memory of what it returns. An
+inference load returns the main path only: its aux and optim entries are never read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import struct
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -200,12 +202,14 @@ def _census_diff(expected: dict[str, tuple[int, ...]],
     return "census mismatch; " + "; ".join(parts)
 
 
-def load(path: str, cfg: ModelConfig, allow_prune: bool = False,
+def load(path: str, cfg: ModelConfig, inference: bool = False,
          seed: int = 0) -> tuple[PSPNet, dict[str, np.ndarray], int]:
     """Build a model for cfg and fill it from the file.
 
-    allow_prune drops aux-branch entries ("aux/..." and "optim/aux/...") that
-    the target config has no home for; any other census difference is an error.
+    A resume load needs the census to match cfg's model exactly. An
+    inference load builds cfg's model without the training-only aux branch,
+    skips every "aux/" and "optim/" entry and returns no velocities; any
+    other census difference is an error either way.
 
     The file is checked and indexed first, then the census runs, and only
     then is each entry read straight into its parameter, buffer or a new
@@ -215,17 +219,15 @@ def load(path: str, cfg: ModelConfig, allow_prune: bool = False,
     """
     with open(path, "rb") as f:
         index, iteration, _ = _index(f)
-        model = PSPNet(cfg)
+        model = PSPNet(replace(cfg, aux_weight=0.0) if inference else cfg)
         params = {n: p.data for n, p in model.named_parameters()}
         targets = {**params, **dict(model.named_buffers())}
         expected = {n: a.shape for n, a in targets.items()}
-        if any(n.startswith(OPTIM_PREFIX) for n in index):
+        if inference:
+            index = {n: e for n, e in index.items()
+                     if not n.startswith((AUX_PREFIX, OPTIM_PREFIX))}
+        elif any(n.startswith(OPTIM_PREFIX) for n in index):
             expected.update({OPTIM_PREFIX + n: a.shape for n, a in params.items()})
-
-        if allow_prune:
-            for n in [n for n in index if n not in expected
-                      and n.startswith((AUX_PREFIX, OPTIM_PREFIX + AUX_PREFIX))]:
-                del index[n]
         diff = _census_diff(expected, {n: dims for n, (dims, _) in index.items()})
         if diff is not None:
             raise ValueError(diff)

@@ -105,11 +105,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("eval needs --checkpoint")
     if not cfg.data_dir:
         raise ValueError("eval needs data_dir")
+    model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(), inference=True)
     samples = load_dataset(cfg.data_dir, cfg.num_classes)
-    model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(),
-                                allow_prune=args.allow_prune)
-    cm = evaluate(model, samples, cfg.num_classes, scales=cfg.scales,
-                  min_size=cfg.min_scale_size)
+    cm = evaluate(model, samples, scales=cfg.scales, min_size=cfg.min_scale_size)
     text, csv = per_class_report(cm, _class_names(cfg.num_classes))
     print(f"pixel_acc={pixel_accuracy(cm):.6f}")
     print(f"mean_iou={mean_iou(cm):.6f}")
@@ -125,8 +123,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if not cfg.checkpoint:
         raise ValueError("predict needs --checkpoint")
-    model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(),
-                                allow_prune=args.allow_prune)
+    model, _, _ = ckpt_mod.load(cfg.checkpoint, cfg.to_model_config(), inference=True)
     prob = multi_scale_infer(model, read_image(args.image), cfg.scales, cfg.min_scale_size)
     labels = prob.argmax(axis=0).astype(np.uint8)  # ties go to the lowest class
 
@@ -205,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--checkpoint")
     infer = argparse.ArgumentParser(add_help=False)
     infer.add_argument("--scales", help="comma-separated, e.g. 0.75,1.0,1.25")
-    infer.add_argument("--allow-prune", action="store_true", dest="allow_prune")
 
     parser = argparse.ArgumentParser(prog="pyrseg",
                                      description="pyramid scene parsing at desk scale")

@@ -143,11 +143,10 @@ def multi_scale_infer(model: PSPNet, image: np.ndarray,
     return acc / len(scales)
 
 
-def evaluate(model: PSPNet, samples, num_classes: int, scales=(1.0,),
-             min_size: int = 64) -> ConfusionMatrix:
+def evaluate(model: PSPNet, samples, scales=(1.0,), min_size: int = 64) -> ConfusionMatrix:
     for sample in samples:  # every image's sizes are checked before the first forward
         _scaled_sizes(model, *sample.image.shape[1:], scales, min_size)
-    cm = ConfusionMatrix(num_classes)
+    cm = ConfusionMatrix(model.cfg.num_classes)
     for sample in samples:
         prob = multi_scale_infer(model, sample.image, scales, min_size)
         cm.accumulate(prob.argmax(axis=0), sample.labels)  # ties go to the lowest class

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def _read_token(f) -> bytes:
+def _read_token(f, path) -> bytes:
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ValueError("truncated header")
+            raise ValueError(f"{path}: truncated header")
         if ch == b"#":
             while ch and ch != b"\n":
                 ch = f.read(1)
@@ -28,14 +28,14 @@ def _read_token(f) -> bytes:
 
 
 def _read_number(f, path, field: str) -> int:
-    tok = _read_token(f)
+    tok = _read_token(f, path)
     if not tok.isdigit():
         raise ValueError(f"{path}: {field} must be a decimal integer, got {tok!r}")
     return int(tok)
 
 
 def _read_header(f, magic: bytes, path) -> tuple[int, int]:
-    got = _read_token(f)
+    got = _read_token(f, path)
     if got != magic:
         raise ValueError(f"{path}: expected {magic.decode()} file, got magic {got!r}")
     width, height, maxval = (_read_number(f, path, field)

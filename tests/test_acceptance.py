@@ -88,7 +88,7 @@ def test_a2_overfit_sanity():
                seed=0, batch_size=4)
     elapsed = time.perf_counter() - t0
 
-    acc = pixel_accuracy(evaluate(model, samples, rc.num_classes))
+    acc = pixel_accuracy(evaluate(model, samples))
     ok = params <= 200_000 and acc >= 0.95 and elapsed < 600.0
     _verdict(
         "A2 overfit sanity",
@@ -142,7 +142,7 @@ def test_a4_aux_branch_equivalence(tmp_path):
 
     bare_cfg = dataclasses.replace(full_cfg, aux_weight=0.0)
     with_aux, _, _ = ckpt.load(str(path), full_cfg)
-    pruned, _, _ = ckpt.load(str(path), bare_cfg, allow_prune=True)
+    pruned, _, _ = ckpt.load(str(path), bare_cfg, inference=True)
 
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(size=(2, 3, 64, 64)).astype(np.float32))

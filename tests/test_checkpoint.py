@@ -254,17 +254,17 @@ def test_load_skips_init_and_returns_owned_arrays(tmp_path, monkeypatch):
     monkeypatch.setattr(model_mod, "init_parameters", no_init)
     saved = dict(model.named_parameters())
     saved_buffers = dict(model.named_buffers())
-    for path, target, prune in ((full, cfg, False), (weights, cfg, False),
-                                (full, _cfg(aux=False), True)):
-        loaded, velocity, it = ckpt.load(str(path), target, allow_prune=prune)
+    for path, target, inference in ((full, cfg, False), (weights, cfg, False),
+                                    (full, _cfg(aux=False), True)):
+        loaded, velocity, it = ckpt.load(str(path), target, inference=inference)
         assert it == 4
         names = {n for n, _ in loaded.named_parameters()}
-        assert names == {n for n in saved if not prune or not n.startswith("aux/")}
+        assert names == {n for n in saved if not inference or not n.startswith("aux/")}
         for n, p in loaded.named_parameters():
             assert p.data.tobytes() == saved[n].data.tobytes() and _owned_f32(p.data)
         for n, b in loaded.named_buffers():
             assert b.tobytes() == saved_buffers[n].tobytes() and _owned_f32(b)
-        if path == weights:
+        if path == weights or inference:
             assert velocity == {}
             continue
         assert set(velocity) == names
@@ -293,6 +293,28 @@ def test_load_peak_memory_is_params_plus_velocities(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded[2] == 1
+    assert peak <= state + slack, f"load peaked at {peak} bytes for {state} bytes of state"
+
+
+def test_inference_load_peak_memory_is_the_main_path(tmp_path):
+    rc = load_config(None, {})
+    cfg = rc.to_model_config()
+    assert cfg.aux_weight > 0
+    model = build_model(cfg, seed=0)
+    sgd = SGD(model, rc.to_optim_config())
+    path = tmp_path / "toy.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 1)
+    state = (sum(p.data.nbytes for n, p in model.named_parameters() if not n.startswith("aux/"))
+             + sum(b.nbytes for n, b in model.named_buffers() if not n.startswith("aux/")))
+    del model, sgd
+    slack = 512 * 1024  # as above; the aux weights and the velocities do not fit
+    tracemalloc.start()
+    try:
+        loaded, velocity, it = ckpt.load(str(path), cfg, inference=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert it == 1 and velocity == {} and loaded.aux is None
     assert peak <= state + slack, f"load peaked at {peak} bytes for {state} bytes of state"
 
 
@@ -419,7 +441,7 @@ def test_partial_optimizer_state_rejected(tmp_path):
         ckpt.load(str(path), cfg)
 
 
-def test_allow_prune_drops_only_aux(tmp_path):
+def test_inference_load_drops_only_aux_and_optim(tmp_path):
     full_cfg = _cfg(aux=True)
     model = build_model(full_cfg, seed=2)
     sgd = SGD(model, OptimConfig(max_iter=10))
@@ -430,17 +452,18 @@ def test_allow_prune_drops_only_aux(tmp_path):
     with pytest.raises(ValueError, match="unexpected: aux/"):
         ckpt.load(str(path), bare_cfg)
 
-    pruned, optim_state, it = ckpt.load(str(path), bare_cfg, allow_prune=True)
-    assert it == 9
-    assert pruned.aux is None
-    assert not any(n.startswith("aux/") for n in optim_state)
     full_names = {n for n, _ in model.named_parameters() if not n.startswith("aux/")}
-    assert {n for n, _ in pruned.named_parameters()} == full_names
-    for n, p in pruned.named_parameters():
-        assert np.array_equal(p.data, dict(model.named_parameters())[n].data)
+    for cfg in (bare_cfg, full_cfg):
+        pruned, optim_state, it = ckpt.load(str(path), cfg, inference=True)
+        assert it == 9
+        assert pruned.aux is None
+        assert optim_state == {}
+        assert {n for n, _ in pruned.named_parameters()} == full_names
+        for n, p in pruned.named_parameters():
+            assert np.array_equal(p.data, dict(model.named_parameters())[n].data)
 
 
-def test_allow_prune_never_excuses_trunk_gaps(tmp_path):
+def test_inference_load_never_excuses_trunk_gaps(tmp_path):
     cfg = _cfg(aux=True)
     model = build_model(cfg, seed=0)
     entries = ckpt._state_entries(model, None)
@@ -449,7 +472,28 @@ def test_allow_prune_never_excuses_trunk_gaps(tmp_path):
     path = tmp_path / "gap.pspc"
     path.write_bytes(_blob(entries))
     with pytest.raises(ValueError, match="missing"):
-        ckpt.load(str(path), cfg, allow_prune=True)
+        ckpt.load(str(path), cfg, inference=True)
+
+    extra = ckpt._state_entries(model, None) | {"psp/extra": np.zeros(2, np.float32)}
+    path.write_bytes(_blob(extra))
+    with pytest.raises(ValueError, match="unexpected: psp/extra"):
+        ckpt.load(str(path), cfg, inference=True)
+
+
+def test_inference_load_still_checks_the_crc_of_optim_entries(tmp_path):
+    cfg = _cfg(aux=True)
+    model = build_model(cfg, seed=1)
+    sgd = SGD(model, OptimConfig(max_iter=10))
+    path = tmp_path / "full.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 2)
+    with open(path, "rb") as f:
+        index, _, _ = ckpt._index(f)
+    _, offset = index[ckpt.OPTIM_PREFIX + "head/conv2/weight"]
+    blob = bytearray(path.read_bytes())
+    blob[offset + 1] ^= 0x10
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="CRC mismatch"):
+        ckpt.load(str(path), cfg, inference=True)
 
 
 def test_config_hash_stable_and_config_sensitive():

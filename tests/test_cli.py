@@ -136,6 +136,44 @@ def test_predict_writes_the_label_map_eval_scores(ds_dir, tmp_path, capsys):
     assert np.array_equal(labels, expected)
 
 
+def test_eval_and_predict_run_a_checkpoint_with_or_without_aux_under_either_config(
+        ds_dir, tmp_path):
+    # The aux branch is training-only: each output equals that of the config
+    # the checkpoint was trained under.
+    cfgs = {}
+    for name, aux in (("aux", "0.4"), ("bare", "0")):
+        cfgs[name] = tmp_path / f"{name}.cfg"
+        cfgs[name].write_text(_train_cfg(tmp_path, ds_dir).read_text() + f"aux_weight = {aux}\n")
+        assert main(["train", "--config", str(cfgs[name]), "--max-iter", "1",
+                     "--out", str(tmp_path / name)]) == 0
+    image = ds_dir / "images" / "0000.ppm"
+    for trained in cfgs:
+        outputs = {}
+        for name, cfg in cfgs.items():
+            out = tmp_path / f"{trained}-under-{name}"
+            common = ["--config", str(cfg), "--checkpoint", str(tmp_path / trained / "final.pspc"),
+                      "--scales", "1.0,1.25", "--out", str(out)]
+            assert main(["eval", *common]) == 0
+            assert main(["predict", *common, str(image)]) == 0
+            outputs[name] = ((out / "metrics.csv").read_bytes(),
+                             (out / "0000_labels.pgm").read_bytes())
+        assert outputs["aux"] == outputs["bare"], trained
+
+
+def test_eval_reads_the_checkpoint_before_the_dataset(ds_dir, tmp_path, capsys, monkeypatch):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("eval read the dataset before the checkpoint")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    missing = tmp_path / "missing.pspc"
+    assert main(["eval", "--config", str(_train_cfg(tmp_path, ds_dir)),
+                 "--checkpoint", str(missing), "--out", str(tmp_path / "ev")]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_multi_scale_eval_flag(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"
@@ -582,8 +620,8 @@ _FLAG_ARGS = {"--config": ["run.cfg"], "--seed": ["1"], "--out": ["out"],
 _CONFIG_FLAGS = {"--config", "--seed", "--out"}
 _COMMAND_FLAGS = {
     "train": _CONFIG_FLAGS | {"--max-iter", "--checkpoint"},
-    "eval": _CONFIG_FLAGS | {"--checkpoint", "--scales", "--allow-prune"},
-    "predict": _CONFIG_FLAGS | {"--checkpoint", "--scales", "--allow-prune"},
+    "eval": _CONFIG_FLAGS | {"--checkpoint", "--scales"},
+    "predict": _CONFIG_FLAGS | {"--checkpoint", "--scales"},
     "ablate": _CONFIG_FLAGS,
     "gradcheck": set(),
     "synth": _CONFIG_FLAGS | {"--force"},

@@ -273,6 +273,7 @@ def test_pnm_header_comments_and_extra_whitespace(tmp_path):
 
 
 @pytest.mark.parametrize("header,message", [
+    (b"P6", "truncated header"),
     (b"P6\n4 4", "truncated header"),
     (b"P6\n4 # width, then a comment runs off the end", "truncated header"),
     (b"P6\n0 3\n255\n", "bad dimensions 0x3"),
@@ -282,7 +283,7 @@ def test_pnm_header_comments_and_extra_whitespace(tmp_path):
 def test_read_ppm_rejects_bad_files(tmp_path, header, message):
     path = tmp_path / "bad.ppm"
     path.write_bytes(header)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"bad\.ppm: {message}"):  # each error names its file
         pnm.read_ppm(path)
 
 

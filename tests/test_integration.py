@@ -26,7 +26,7 @@ def test_multi_scale_does_not_hurt_fitted_train_set():
     sgd = SGD(model, ocfg)
     train_loop(model, sgd, samples, aug, ocfg, seed=0, batch_size=4)
 
-    single = evaluate(model, samples, rc.num_classes, scales=(1.0,))
-    multi = evaluate(model, samples, rc.num_classes, scales=(0.5, 1.0, 1.5))
+    single = evaluate(model, samples, scales=(1.0,))
+    multi = evaluate(model, samples, scales=(0.5, 1.0, 1.5))
     assert pixel_accuracy(single) > 0.9
     assert mean_iou(multi) >= mean_iou(single) - 0.02

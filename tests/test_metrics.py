@@ -229,8 +229,8 @@ def test_evaluate_reads_a_loaded_8bit_set_as_its_float_images(tmp_path):
     assert all(s.image.dtype == np.uint8 for s in loaded)
     model = build_model(ModelConfig(), seed=0)
     for scales in ((1.0,), (0.75, 1.0, 1.25)):
-        got = evaluate(model, loaded, 4, scales=scales, min_size=8)
-        want = evaluate(model, as_float, 4, scales=scales, min_size=8)
+        got = evaluate(model, loaded, scales=scales, min_size=8)
+        want = evaluate(model, as_float, scales=scales, min_size=8)
         assert np.array_equal(got.counts, want.counts), scales
 
 
