@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .layers import BatchNorm2d, Conv2d, Module, ModuleList
+from .layers import Module, bn_params, conv_params
 from .tensor import Tensor
 
 EXPANSION = 4  # bottleneck width = stage width / EXPANSION
@@ -70,24 +70,24 @@ class Bottleneck(Module):
     def __init__(self, in_channels: int, out_channels: int, mid_channels: int,
                  stride: int, dilation: int) -> None:
         super().__init__()
-        self.conv1 = Conv2d(in_channels, mid_channels, 1)
-        self.bn1 = BatchNorm2d(mid_channels)
-        self.conv2 = Conv2d(mid_channels, mid_channels, 3, stride=stride,
-                            padding=dilation, dilation=dilation)
-        self.bn2 = BatchNorm2d(mid_channels)
-        self.conv3 = Conv2d(mid_channels, out_channels, 1)
-        self.bn3 = BatchNorm2d(out_channels)
+        self.conv1 = conv_params(in_channels, mid_channels, 1)
+        self.bn1 = bn_params(mid_channels)
+        self.conv2 = conv_params(mid_channels, mid_channels, 3, stride=stride,
+                                 padding=dilation, dilation=dilation)
+        self.bn2 = bn_params(mid_channels)
+        self.conv3 = conv_params(mid_channels, out_channels, 1)
+        self.bn3 = bn_params(out_channels)
         if stride != 1 or in_channels != out_channels:
-            self.proj = Conv2d(in_channels, out_channels, 1, stride=stride)
-            self.proj_bn = BatchNorm2d(out_channels)
+            self.proj = conv_params(in_channels, out_channels, 1, stride=stride)
+            self.proj_bn = bn_params(out_channels)
         else:
             self.proj = None
 
     def forward(self, x: Tensor) -> Tensor:
-        r = ops.relu(self.bn1(self.conv1(x)))
-        r = ops.relu(self.bn2(self.conv2(r)))
-        r = self.bn3(self.conv3(r))
-        shortcut = self.proj_bn(self.proj(x)) if self.proj is not None else x
+        r = ops.relu(self.conv_bn(x, self.conv1, self.bn1))
+        r = ops.relu(self.conv_bn(r, self.conv2, self.bn2))
+        r = self.conv_bn(r, self.conv3, self.bn3)
+        shortcut = self.conv_bn(x, self.proj, self.proj_bn) if self.proj is not None else x
         return ops.relu(r + shortcut)
 
 
@@ -97,16 +97,16 @@ class Backbone(Module):
         self.cfg = cfg
         c = cfg.base_channels
         if cfg.stem == "conv3":
-            self.stem_conv = Conv2d(3, c, 3, stride=2, padding=1)
+            self.stem_conv = conv_params(3, c, 3, stride=2, padding=1)
         else:
-            self.stem_conv = Conv2d(3, c, 7, stride=2, padding=3)
-        self.stem_bn = BatchNorm2d(c)
-        self.stages = ModuleList()
+            self.stem_conv = conv_params(3, c, 7, stride=2, padding=3)
+        self.stem_bn = bn_params(c)
+        self.stages = []
         in_c = c
         for i in range(4):
             out_c = cfg.stage_channels[i]
             mid_c = max(out_c // EXPANSION, 1)
-            blocks = ModuleList()
+            blocks = []
             for b in range(cfg.stage_blocks[i]):
                 stride = cfg.stage_strides[i] if b == 0 else 1
                 blocks.append(Bottleneck(in_c, out_c, mid_c, stride, cfg.dilation_plan[i]))
@@ -118,7 +118,7 @@ class Backbone(Module):
         _, _, h, w = x.shape
         if h % 8 or w % 8:
             raise ValueError(f"input size {h}x{w} not divisible by 8")
-        y = ops.relu(self.stem_bn(self.stem_conv(x)))
+        y = ops.relu(self.conv_bn(x, self.stem_conv, self.stem_bn))
         if self.cfg.stem == "conv7-pool":
             y = ops.max_pool2d(y, kernel=3, stride=2, padding=1)
         tap = None

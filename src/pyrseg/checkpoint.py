@@ -171,8 +171,13 @@ def _read_into(f, offset: int, dest: np.ndarray) -> np.ndarray:
 def save(path: str, model: PSPNet, optim_state: dict[str, np.ndarray] | None,
          iteration: int) -> None:
     """Write to path + ".tmp", then os.replace it over path, so a failed
-    save leaves any earlier file at path intact."""
+    save leaves any earlier file at path intact. A non-finite parameter,
+    buffer or velocity is refused before the temp file is opened."""
     entries = _state_entries(model, optim_state)
+    for name, arr in entries.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"refusing to save iteration {iteration}: {name} holds a "
+                             f"non-finite value")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -192,7 +192,7 @@ def _micro_config() -> ModelConfig:
 
 def _replace_param(model, name: str, new: Tensor) -> None:
     path, _, field = name.rpartition("/")
-    setattr(dict(model.named_modules())[path].params, field, new)
+    setattr(dict(model.walk())[path], field, new)
 
 
 def case_micro_model(rng):

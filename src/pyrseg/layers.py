@@ -1,17 +1,22 @@
 """Parameter-owning building blocks over the functional ops.
 
-Modules form a tree; parameter and buffer names join with '/' and are the
-checkpoint namespace, so renaming an attribute is a format change. A leaf's
-ops bundle (`params`) is the one store of its parameters and buffers: its
-Tensor fields are the parameters and its ndarray fields the buffers, in field
-order, so assigning a field changes what the op reads, what
-named_parameters() yields, what SGD steps and what a checkpoint saves, all at
-once. Parameter init is derived from (seed, full parameter name), never from
-creation order: two configs that share a submodule tree get bitwise-identical
-weights for the shared part, which is what makes the aux-branch on/off
-comparison and the checkpoint prune test meaningful. A large model's
-per-weight streams are drawn concurrently, one thread per core; no stream
-depends on another, so the weights are the same bits for any core count.
+Modules form a tree, and a module's attributes are its children: a Module,
+an ops bundle (ops.Conv2dParams or ops.BatchNormParams), or a list of these
+whose items are named by index. No other attribute is a child, so a child
+set to None or replaced is gone from every registry at once. One pre-order
+walk over the attributes names every module and bundle; parameter and buffer
+names join the path with '/' and are the checkpoint namespace, so renaming
+an attribute is a format change. A bundle is the one store of a layer's
+parameters and buffers: its Tensor fields are the parameters and its ndarray
+fields the buffers, in field order, so assigning a field changes what the op
+reads, what named_parameters() yields, what SGD steps and what a checkpoint
+saves, all at once. Parameter init is derived from (seed, full parameter
+name), never from creation order: two configs that share a submodule tree
+get bitwise-identical weights for the shared part, which is what makes the
+aux-branch on/off comparison and the inference-load tests meaningful. A
+large model's per-weight streams are drawn concurrently, one thread per
+core; no stream depends on another, so the weights are the same bits for any
+core count.
 """
 
 from __future__ import annotations
@@ -26,30 +31,56 @@ from . import ops
 from .tensor import Tensor
 
 
-class Module:
-    params = None  # a leaf's ops bundle: the one store of its parameters and buffers
+def conv_params(in_channels: int, out_channels: int, kernel: int, stride: int = 1,
+                padding: int = 0, dilation: int = 1, bias: bool = False) -> ops.Conv2dParams:
+    """A conv bundle with zero weight (init_parameters draws it) and zero bias."""
+    shape = (out_channels, in_channels, kernel, kernel)
+    return ops.Conv2dParams(
+        weight=Tensor(np.zeros(shape, np.float32), requires_grad=True),
+        bias=Tensor(np.zeros(out_channels, np.float32), requires_grad=True) if bias else None,
+        stride=stride, padding=padding, dilation=dilation)
 
+
+def bn_params(channels: int) -> ops.BatchNormParams:
+    """A batch-norm bundle at gamma 1, beta 0, running mean 0 and variance 1."""
+    return ops.BatchNormParams(
+        gamma=Tensor(np.ones(channels, np.float32), requires_grad=True),
+        beta=Tensor(np.zeros(channels, np.float32), requires_grad=True),
+        running_mean=np.zeros(channels, np.float32),
+        running_var=np.ones(channels, np.float32))
+
+
+def _walk_items(prefix: str, items):
+    """walk() below each (name, value) pair that is a module, a bundle or a list."""
+    for name, value in items:
+        path = f"{prefix}/{name}" if prefix else name
+        if isinstance(value, Module):
+            yield from value.walk(path)
+        elif isinstance(value, (ops.Conv2dParams, ops.BatchNormParams)):
+            yield path, value
+        elif isinstance(value, list):
+            yield from _walk_items(path, enumerate(value))
+
+
+class Module:
     def __init__(self) -> None:
-        self._children: dict[str, Module] = {}
         self.training = True
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Module):
-            self.__dict__.setdefault("_children", {})[name] = value
-        object.__setattr__(self, name, value)
-
-    def named_modules(self, prefix: str = ""):
+    def walk(self, prefix: str = ""):
+        """(path, node) for this module and, in pre-order, every module and
+        bundle its attributes hold."""
         yield prefix, self
-        for name, child in self._children.items():
-            sub = f"{prefix}/{name}" if prefix else name
-            yield from child.named_modules(sub)
+        yield from _walk_items(prefix, vars(self).items())
+
+    def named_modules(self):
+        return ((path, node) for path, node in self.walk() if isinstance(node, Module))
 
     def _bundle_fields(self, kind: type):
-        for root, mod in self.named_modules():
-            if mod.params is not None:
-                for name, value in vars(mod.params).items():
+        for path, node in self.walk():
+            if not isinstance(node, Module):
+                for name, value in vars(node).items():
                     if isinstance(value, kind):
-                        yield (f"{root}/{name}" if root else name), value
+                        yield f"{path}/{name}", value
 
     def named_parameters(self):
         return self._bundle_fields(Tensor)
@@ -62,52 +93,14 @@ class Module:
             mod.training = mode
         return self
 
+    def conv_bn(self, x: Tensor, conv: ops.Conv2dParams, bn: ops.BatchNormParams) -> Tensor:
+        return ops.batch_norm(ops.conv2d(x, conv), bn, self.training)
+
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class ModuleList(Module):
-    """Children named '0', '1', ... in append order."""
-
-    def append(self, module: Module) -> None:
-        setattr(self, str(len(self._children)), module)
-
-    def __iter__(self):
-        return iter(self._children.values())
-
-    def __getitem__(self, i: int) -> Module:
-        return self._children[str(i)]
-
-
-class Conv2d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, dilation: int = 1,
-                 bias: bool = False) -> None:
-        super().__init__()
-        shape = (out_channels, in_channels, kernel, kernel)
-        self.params = ops.Conv2dParams(
-            weight=Tensor(np.zeros(shape, np.float32), requires_grad=True),
-            bias=Tensor(np.zeros(out_channels, np.float32), requires_grad=True) if bias else None,
-            stride=stride, padding=padding, dilation=dilation)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.params)
-
-
-class BatchNorm2d(Module):
-    def __init__(self, channels: int) -> None:
-        super().__init__()
-        self.params = ops.BatchNormParams(
-            gamma=Tensor(np.ones(channels, np.float32), requires_grad=True),
-            beta=Tensor(np.zeros(channels, np.float32), requires_grad=True),
-            running_mean=np.zeros(channels, np.float32),
-            running_var=np.ones(channels, np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.batch_norm(x, self.params, self.training)
 
 
 def _name_rng(seed: int, name: str) -> np.random.Generator:

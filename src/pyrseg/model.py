@@ -14,7 +14,7 @@ import numpy as np
 from . import ops
 from .backbone import Backbone, BackboneConfig
 from .data import IGNORE_LABEL
-from .layers import BatchNorm2d, Conv2d, Module, init_parameters
+from .layers import Module, bn_params, conv_params, init_parameters
 from .pyramid import PyramidConfig, PyramidPooling
 from .tensor import Tensor
 
@@ -42,12 +42,12 @@ class ClassifierHead(Module):
 
     def __init__(self, in_channels: int, mid_channels: int, num_classes: int) -> None:
         super().__init__()
-        self.conv1 = Conv2d(in_channels, mid_channels, 3, padding=1)
-        self.bn = BatchNorm2d(mid_channels)
-        self.conv2 = Conv2d(mid_channels, num_classes, 1, bias=True)
+        self.conv1 = conv_params(in_channels, mid_channels, 3, padding=1)
+        self.bn = bn_params(mid_channels)
+        self.conv2 = conv_params(mid_channels, num_classes, 1, bias=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.conv2(ops.relu(self.bn(self.conv1(x))))
+        return ops.conv2d(ops.relu(self.conv_bn(x, self.conv1, self.bn)), self.conv2)
 
 
 class PSPNet(Module):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .layers import BatchNorm2d, Conv2d, Module, ModuleList
+from .layers import Module, bn_params, conv_params
 from .tensor import Tensor
 
 
@@ -43,13 +43,10 @@ class PyramidPooling(Module):
         self.cfg = cfg
         self.in_channels = in_channels
         self.out_channels = cfg.out_channels(in_channels)
-        self.reduce = ModuleList()
-        self.reduce_bn = ModuleList()
-        if cfg.dim_reduce:
-            rc = cfg.reduced_channels(in_channels)
-            for _ in cfg.bin_sizes:
-                self.reduce.append(Conv2d(in_channels, rc, 1))
-                self.reduce_bn.append(BatchNorm2d(rc))
+        levels = len(cfg.bin_sizes) if cfg.dim_reduce else 0
+        rc = cfg.reduced_channels(in_channels)
+        self.reduce = [conv_params(in_channels, rc, 1) for _ in range(levels)]
+        self.reduce_bn = [bn_params(rc) for _ in range(levels)]
 
     def forward(self, feat: Tensor) -> Tensor:
         _, c, h, w = feat.shape
@@ -63,7 +60,7 @@ class PyramidPooling(Module):
         for i, b in enumerate(self.cfg.bin_sizes):
             level = ops.adaptive_pool(feat, b, self.cfg.pool_mode)
             if self.cfg.dim_reduce:
-                level = ops.relu(self.reduce_bn[i](self.reduce[i](level)))
+                level = ops.relu(self.conv_bn(level, self.reduce[i], self.reduce_bn[i]))
             levels.append(ops.bilinear_upsample(level, (h, w)))
         return ops.concat_channels(levels)
 

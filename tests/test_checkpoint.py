@@ -388,6 +388,28 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, fault):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["m.pspc"]
 
 
+@pytest.mark.parametrize("entry", ["head/conv1/weight", "head/bn/running_var",
+                                   "optim/head/conv2/bias"],
+                         ids=["parameter", "buffer", "velocity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_refuses_non_finite_state_before_opening_a_file(tmp_path, monkeypatch, entry, bad):
+    model = build_model(_cfg(), seed=1)
+    sgd = SGD(model, OptimConfig(max_iter=10))
+    path = tmp_path / "m.pspc"
+    ckpt.save(str(path), model, sgd.velocity, 3)
+    before = path.read_bytes()
+
+    ckpt._state_entries(model, sgd.velocity)[entry].reshape(-1)[-1] = bad
+    opened = []
+    monkeypatch.setattr(ckpt, "open", lambda *args: opened.append(args) or open(*args),
+                        raising=False)
+    with pytest.raises(ValueError, match=f"iteration 4: {entry} holds a non-finite value"):
+        ckpt.save(str(path), model, sgd.velocity, 4)
+    assert opened == []
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.pspc"]
+
+
 def test_census_missing_and_unexpected(tmp_path):
     cfg = _cfg()
     model = build_model(cfg, seed=0)

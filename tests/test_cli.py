@@ -219,6 +219,28 @@ def test_resume_past_schedule_end_exits_one(ds_dir, tmp_path, capsys):
     assert not (run / "final.pspc").exists()
 
 
+def test_train_whose_last_step_overflows_saves_no_checkpoint(tmp_path, capsys):
+    # The loss check runs before each step, so only the save sees the state
+    # that the last step leaves: here it overflows most weights to inf.
+    synth_cfg = tmp_path / "synth.cfg"
+    synth_cfg.write_text("synth_n = 8\n")
+    ds = tmp_path / "ds"
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(ds)]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {ds}\nbatch_size = 2\nbase_lr = 3e38\nweight_decay = 10\n")
+    run = tmp_path / "run"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--config", str(cfg), "--max-iter", "1", "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "iter=0" in captured.out
+    assert re.search(r"refusing to save iteration 1: \S+/\w+ holds a non-finite value",
+                     captured.err), captured.err
+    assert not (run / "final.pspc").exists()
+    assert sorted(f.name for f in run.iterdir()) == []
+
+
 def test_train_rejects_resume_and_a_different_checkpoint(ds_dir, tmp_path, capsys):
     cfg = _train_cfg(tmp_path, ds_dir)
     run = tmp_path / "run"
@@ -496,7 +518,10 @@ def test_non_finite_loss_exits_one_without_final_checkpoint(ds_dir, tmp_path, ca
     model = build_model(model_cfg, seed=0)
     next(p for _, p in model.named_parameters()).data[...] = np.nan
     bad = run / "nan.pspc"
-    ckpt.save(str(bad), model, None, 0)
+    # save refuses non-finite state, so write the checkpoint bytes directly
+    with open(bad, "wb") as f:
+        ckpt._serialize_into(f, ckpt._state_entries(model, None), 0,
+                             ckpt.config_hash(model_cfg))
     rc = main(["train", "--config", str(cfg), "--max-iter", "2",
                "--checkpoint", str(bad), "--out", str(run)])
     assert rc == 1

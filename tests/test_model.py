@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,11 +140,11 @@ def test_conv_weights_equal_the_he_init_oracle_for_any_core_count(monkeypatch, p
         assert threads == {threading.get_ident()}  # toy is too small to pay for a thread
     else:
         assert 2 <= len(threads) <= cores
-    convs = [(name, mod.params.weight.data) for name, mod in model.named_modules()
-             if isinstance(mod, layers.Conv2d)]
+    convs = [(name, p.data) for name, p in model.named_parameters() if p.data.ndim == 4]
     assert len(convs) == {"toy": 37, "resnet50-layout": 60}[preset]
     for name, w in convs:
-        expected = he_init_naive(w.shape, 7, f"{name}/weight")
+        assert name.endswith("/weight"), name
+        expected = he_init_naive(w.shape, 7, name)
         assert w.tobytes() == expected.tobytes(), name
 
 
@@ -180,7 +181,7 @@ def test_a_bundle_field_is_the_registered_and_saved_value(tmp_path):
 
     cfg = _tiny()
     model = build_model(cfg, seed=0)
-    conv, bn = model.head.conv1.params, model.head.bn.params
+    conv, bn = model.head.conv1, model.head.bn
     weight = Tensor(np.full(conv.weight.shape, 0.5, np.float32), requires_grad=True)
     mean = np.full(bn.running_mean.shape, 0.25, np.float32)
     conv.weight, bn.running_mean = weight, mean
@@ -193,9 +194,44 @@ def test_a_bundle_field_is_the_registered_and_saved_value(tmp_path):
     assert dict(loaded.named_buffers())["head/bn/running_mean"].tobytes() == mean.tobytes()
 
 
+def test_a_dropped_or_replaced_child_is_gone_from_every_registry(tmp_path):
+    # A module's attributes are its children: dropping one removes its
+    # entries from named_parameters(), SGD and the checkpoint, and a bundle
+    # assigned in place of another is what the forward reads and SGD steps.
+    from pyrseg import checkpoint
+    from pyrseg.optim import SGD, OptimConfig
+
+    cfg = _tiny()
+    model = build_model(cfg, seed=0)
+    model.aux = None
+    assert not [n for n, _ in model.named_parameters() if n.startswith("aux/")]
+    assert not [n for n, _ in model.named_buffers() if n.startswith("aux/")]
+    sgd = SGD(model, OptimConfig())
+    assert not [n for n in sgd.velocity if n.startswith("aux/")]
+    path = str(tmp_path / "m.pspc")
+    checkpoint.save(path, model, sgd.velocity, 0)
+    checkpoint.load(path, replace(cfg, aux_weight=0.0))  # exact census: no aux/ entry
+
+    old = model.head.conv1
+    new = layers.conv_params(old.weight.shape[1], old.weight.shape[0], 3, padding=1)
+    new.weight.data[...] = old.weight.data * 0.5
+    model.head.conv1 = new
+    assert dict(model.named_parameters())["head/conv1/weight"] is new.weight
+    x, labels = _batch(np.random.default_rng(5))
+    with Graph():
+        total, _, _ = model.forward_train(Tensor(x), labels)
+        backward(total)
+    assert old.weight.grad is None and new.weight.grad is not None
+    before = old.weight.data.copy()
+    sgd.step(0.01)
+    assert np.array_equal(old.weight.data, before)
+    assert not np.array_equal(new.weight.data, before * 0.5)
+    assert sgd.velocity["head/conv1/weight"].any()
+
+
 @pytest.mark.parametrize("preset", ["toy", "resnet50-layout"])
 def test_no_module_holds_an_array_outside_its_bundle(preset):
-    # An array a module holds outside its `params` bundle is never named,
+    # An array a module holds outside a bundle is never named,
     # saved or updated by SGD.
     model = PSPNet(RunConfig(preset=preset).to_model_config())
     stray = [f"{name}.{attr}" for name, mod in model.named_modules()
@@ -206,7 +242,7 @@ def test_no_module_holds_an_array_outside_its_bundle(preset):
 def test_baseline_head_consumes_backbone_channels():
     model = PSPNet(_tiny(pyramid=False))
     assert model.psp is None
-    assert model.head.conv1.params.weight.shape[1] == 64  # base 8 * 8
+    assert model.head.conv1.weight.shape[1] == 64  # base 8 * 8
 
 
 def test_num_classes_fit_uint8_labels_beside_the_ignore_label():

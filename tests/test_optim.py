@@ -1,7 +1,6 @@
 """Poly schedule against the closed form; SGD update against hand math."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from pyrseg import checkpoint as ckpt
 from pyrseg import optim
 from pyrseg.config import load_config
-from pyrseg.layers import Module
 from pyrseg.model import build_model
 from pyrseg.optim import SGD, OptimConfig, poly_lr
 from pyrseg.tensor import Graph, Tensor, backward
@@ -67,12 +65,14 @@ def _param(values):
     return t
 
 
-class _Holder(Module):
-    """One leaf whose bundle holds the given parameters, named as keyed."""
+class _Holder:
+    """Yields the given parameters, named as keyed: all that SGD reads of a model."""
 
     def __init__(self, params: dict) -> None:
-        super().__init__()
-        self.params = SimpleNamespace(**params)
+        self.params = params
+
+    def named_parameters(self):
+        return iter(self.params.items())
 
 
 def test_sgd_two_steps_constant_grad_unrolls():
@@ -228,9 +228,9 @@ def test_sgd_steps_a_parameter_assigned_after_it_was_built():
     model = build_model(load_config(None, {}).to_model_config(), seed=0)
     sgd = SGD(model, OptimConfig())
     velocity = sgd.velocity["head/conv1/weight"]
-    old = model.head.conv1.params.weight
+    old = model.head.conv1.weight
     new = Tensor(old.data.copy(), requires_grad=True)
-    model.head.conv1.params.weight = new
+    model.head.conv1.weight = new
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, size=(2, 64, 64)).astype(np.uint8)
     with Graph():
@@ -246,9 +246,9 @@ def test_sgd_steps_a_parameter_assigned_after_it_was_built():
 def test_sgd_rejects_a_parameter_replaced_by_another_shape():
     model = build_model(load_config(None, {}).to_model_config(), seed=0)
     sgd = SGD(model, OptimConfig())
-    old = model.head.conv1.params.weight
-    model.head.conv1.params.weight = Tensor(np.ones(old.shape[:-1] + (1,), np.float32),
-                                            requires_grad=True)
+    old = model.head.conv1.weight
+    model.head.conv1.weight = Tensor(np.ones(old.shape[:-1] + (1,), np.float32),
+                                     requires_grad=True)
     for _, p in model.named_parameters():
         p.grad = np.ones(p.shape, np.float32)
     before = [(n, p.data.copy(), p.grad, sgd.velocity[n].copy())
