@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .layers import Module, bn_params, conv_params
+from .layers import Module, bn_params, conv_bn, conv_params
 from .tensor import Tensor
 
 EXPANSION = 4  # bottleneck width = stage width / EXPANSION
@@ -69,7 +69,6 @@ class Bottleneck(Module):
 
     def __init__(self, in_channels: int, out_channels: int, mid_channels: int,
                  stride: int, dilation: int) -> None:
-        super().__init__()
         self.conv1 = conv_params(in_channels, mid_channels, 1)
         self.bn1 = bn_params(mid_channels)
         self.conv2 = conv_params(mid_channels, mid_channels, 3, stride=stride,
@@ -83,17 +82,16 @@ class Bottleneck(Module):
         else:
             self.proj = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        r = ops.relu(self.conv_bn(x, self.conv1, self.bn1))
-        r = ops.relu(self.conv_bn(r, self.conv2, self.bn2))
-        r = self.conv_bn(r, self.conv3, self.bn3)
-        shortcut = self.conv_bn(x, self.proj, self.proj_bn) if self.proj is not None else x
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        r = ops.relu(conv_bn(x, self.conv1, self.bn1, training))
+        r = ops.relu(conv_bn(r, self.conv2, self.bn2, training))
+        r = conv_bn(r, self.conv3, self.bn3, training)
+        shortcut = x if self.proj is None else conv_bn(x, self.proj, self.proj_bn, training)
         return ops.relu(r + shortcut)
 
 
 class Backbone(Module):
     def __init__(self, cfg: BackboneConfig) -> None:
-        super().__init__()
         self.cfg = cfg
         c = cfg.base_channels
         if cfg.stem == "conv3":
@@ -113,18 +111,18 @@ class Backbone(Module):
                 in_c = out_c
             self.stages.append(blocks)
 
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor, training: bool) -> tuple[Tensor, Tensor]:
         """Returns (final stride-8 map, aux-tap map); both H/8 x W/8."""
         _, _, h, w = x.shape
         if h % 8 or w % 8:
             raise ValueError(f"input size {h}x{w} not divisible by 8")
-        y = ops.relu(self.conv_bn(x, self.stem_conv, self.stem_bn))
+        y = ops.relu(conv_bn(x, self.stem_conv, self.stem_bn, training))
         if self.cfg.stem == "conv7-pool":
             y = ops.max_pool2d(y, kernel=3, stride=2, padding=1)
         tap = None
         for i, stage in enumerate(self.stages, start=1):
             for block in stage:
-                y = block(y)
+                y = block.forward(y, training)
             if i == AUX_TAP_STAGE:
                 tap = y
         return y, tap

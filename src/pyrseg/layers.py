@@ -10,13 +10,15 @@ an attribute is a format change. A bundle is the one store of a layer's
 parameters and buffers: its Tensor fields are the parameters and its ndarray
 fields the buffers, in field order, so assigning a field changes what the op
 reads, what named_parameters() yields, what SGD steps and what a checkpoint
-saves, all at once. Parameter init is derived from (seed, full parameter
-name), never from creation order: two configs that share a submodule tree
-get bitwise-identical weights for the shared part, which is what makes the
-aux-branch on/off comparison and the inference-load tests meaningful. A
-large model's per-weight streams are drawn concurrently, one thread per
-core; no stream depends on another, so the weights are the same bits for any
-core count.
+saves, all at once. A module holds no mode: each forward takes `training`,
+and only batch norm reads it (conv_bn). True means batch statistics plus
+running-stat updates; False means the running statistics. Parameter init is
+derived from (seed, full parameter name), never from creation order: two
+configs that share a submodule tree get bitwise-identical weights for the
+shared part, which is what makes the aux-branch on/off comparison and the
+inference-load tests meaningful. A large model's per-weight streams are
+drawn concurrently, one thread per core; no stream depends on another, so
+the weights are the same bits for any core count.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ def bn_params(channels: int) -> ops.BatchNormParams:
         running_var=np.ones(channels, np.float32))
 
 
+def conv_bn(x: Tensor, conv: ops.Conv2dParams, bn: ops.BatchNormParams,
+            training: bool) -> Tensor:
+    return ops.batch_norm(ops.conv2d(x, conv), bn, training)
+
+
 def _walk_items(prefix: str, items):
     """walk() below each (name, value) pair that is a module, a bundle or a list."""
     for name, value in items:
@@ -63,17 +70,11 @@ def _walk_items(prefix: str, items):
 
 
 class Module:
-    def __init__(self) -> None:
-        self.training = True
-
     def walk(self, prefix: str = ""):
         """(path, node) for this module and, in pre-order, every module and
         bundle its attributes hold."""
         yield prefix, self
         yield from _walk_items(prefix, vars(self).items())
-
-    def named_modules(self):
-        return ((path, node) for path, node in self.walk() if isinstance(node, Module))
 
     def _bundle_fields(self, kind: type):
         for path, node in self.walk():
@@ -87,20 +88,6 @@ class Module:
 
     def named_buffers(self):
         return self._bundle_fields(np.ndarray)
-
-    def train(self, mode: bool = True) -> "Module":
-        for _, mod in self.named_modules():
-            mod.training = mode
-        return self
-
-    def conv_bn(self, x: Tensor, conv: ops.Conv2dParams, bn: ops.BatchNormParams) -> Tensor:
-        return ops.batch_norm(ops.conv2d(x, conv), bn, self.training)
-
-    def forward(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
 
 
 def _name_rng(seed: int, name: str) -> np.random.Generator:

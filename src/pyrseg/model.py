@@ -14,7 +14,7 @@ import numpy as np
 from . import ops
 from .backbone import Backbone, BackboneConfig
 from .data import IGNORE_LABEL
-from .layers import Module, bn_params, conv_params, init_parameters
+from .layers import Module, bn_params, conv_bn, conv_params, init_parameters
 from .pyramid import PyramidConfig, PyramidPooling
 from .tensor import Tensor
 
@@ -41,18 +41,16 @@ class ClassifierHead(Module):
     """3x3 conv -> BN -> ReLU -> 1x1 conv to class logits."""
 
     def __init__(self, in_channels: int, mid_channels: int, num_classes: int) -> None:
-        super().__init__()
         self.conv1 = conv_params(in_channels, mid_channels, 3, padding=1)
         self.bn = bn_params(mid_channels)
         self.conv2 = conv_params(mid_channels, num_classes, 1, bias=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(ops.relu(self.conv_bn(x, self.conv1, self.bn)), self.conv2)
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        return ops.conv2d(ops.relu(conv_bn(x, self.conv1, self.bn, training)), self.conv2)
 
 
 class PSPNet(Module):
     def __init__(self, cfg: ModelConfig) -> None:
-        super().__init__()
         self.cfg = cfg
         self.backbone = Backbone(cfg.backbone)
         final_c = cfg.backbone.final_channels
@@ -69,31 +67,32 @@ class PSPNet(Module):
         else:
             self.aux = None
 
-    def _main_logits(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        final, tap = self.backbone(x)
-        feats = self.psp(final) if self.psp is not None else final
-        return self.head(feats), tap
+    def _main_logits(self, x: Tensor, training: bool) -> tuple[Tensor, Tensor]:
+        final, tap = self.backbone.forward(x, training)
+        feats = final if self.psp is None else self.psp.forward(final, training)
+        return self.head.forward(feats, training), tap
 
     def forward_train(self, x: Tensor, labels: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (total, main, aux) losses; total = main + aux_weight * aux."""
-        self.train(True)
+        """Returns (total, main, aux) losses; total = main + aux_weight * aux.
+        Runs in training mode: every batch norm, the aux head's too, uses
+        batch statistics and updates its running statistics."""
         _, _, h, w = x.shape
-        logits, tap = self._main_logits(x)
+        logits, tap = self._main_logits(x, True)
         logits = ops.bilinear_upsample(logits, (h, w))
         main = ops.softmax_cross_entropy(logits, labels)
         if self.aux is None:
             return main, main, Tensor(np.zeros((), dtype=np.float32))
-        aux_logits = ops.bilinear_upsample(self.aux(tap), (h, w))
+        aux_logits = ops.bilinear_upsample(self.aux.forward(tap, True), (h, w))
         aux = ops.softmax_cross_entropy(aux_logits, labels)
         total = main + aux * float(self.cfg.aux_weight)
         return total, main, aux
 
     def forward_infer(self, x: Tensor) -> np.ndarray:
-        """(N, K, H, W) logits of the main path, BN on running stats; the aux
-        branch is never evaluated."""
-        self.train(False)
+        """(N, K, H, W) logits of the main path in inference mode: every batch
+        norm uses its running statistics and changes nothing. The aux branch
+        is never evaluated."""
         _, _, h, w = x.shape
-        logits, _ = self._main_logits(x)
+        logits, _ = self._main_logits(x, False)
         return ops.bilinear_upsample(logits, (h, w)).data
 
     def count_parameters(self) -> int:

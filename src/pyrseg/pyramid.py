@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .layers import Module, bn_params, conv_params
+from .layers import Module, bn_params, conv_bn, conv_params
 from .tensor import Tensor
 
 
@@ -39,7 +39,6 @@ class PyramidConfig:
 
 class PyramidPooling(Module):
     def __init__(self, in_channels: int, cfg: PyramidConfig) -> None:
-        super().__init__()
         self.cfg = cfg
         self.in_channels = in_channels
         self.out_channels = cfg.out_channels(in_channels)
@@ -48,7 +47,7 @@ class PyramidPooling(Module):
         self.reduce = [conv_params(in_channels, rc, 1) for _ in range(levels)]
         self.reduce_bn = [bn_params(rc) for _ in range(levels)]
 
-    def forward(self, feat: Tensor) -> Tensor:
+    def forward(self, feat: Tensor, training: bool) -> Tensor:
         _, c, h, w = feat.shape
         if c != self.in_channels:
             raise ValueError(f"channel mismatch: feature has {c}, module expects {self.in_channels}")
@@ -60,7 +59,7 @@ class PyramidPooling(Module):
         for i, b in enumerate(self.cfg.bin_sizes):
             level = ops.adaptive_pool(feat, b, self.cfg.pool_mode)
             if self.cfg.dim_reduce:
-                level = ops.relu(self.conv_bn(level, self.reduce[i], self.reduce_bn[i]))
+                level = ops.relu(conv_bn(level, self.reduce[i], self.reduce_bn[i], training))
             levels.append(ops.bilinear_upsample(level, (h, w)))
         return ops.concat_channels(levels)
 

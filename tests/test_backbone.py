@@ -20,14 +20,13 @@ def _toy(**overrides):
     cfg = dataclasses.replace(preset("toy"), **overrides)
     model = Backbone(cfg)
     init_parameters(model, seed=0)
-    model.train(False)
     return model, cfg
 
 
 def test_toy_preset_final_shape():
     model, _ = _toy()
     x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 64, 64)).astype(np.float32))
-    final, tap = model(x)
+    final, tap = model.forward(x, False)
     assert final.shape == (1, 128, 8, 8)  # base 16 doubled per stage
     assert tap.shape[2:] == final.shape[2:]
 
@@ -38,7 +37,7 @@ def test_output_stride_is_8_for_random_sizes():
     for _ in range(4):
         h = int(rng.integers(2, 9)) * 8
         w = int(rng.integers(2, 9)) * 8
-        final, tap = model(Tensor(rng.normal(size=(1, 3, h, w)).astype(np.float32)))
+        final, tap = model.forward(Tensor(rng.normal(size=(1, 3, h, w)).astype(np.float32)), False)
         assert final.shape == (1, cfg.final_channels, h // 8, w // 8)
         assert tap.shape == (1, cfg.tap_channels, h // 8, w // 8)
 
@@ -46,7 +45,7 @@ def test_output_stride_is_8_for_random_sizes():
 def test_indivisible_input_rejected():
     model, _ = _toy()
     with pytest.raises(ValueError, match="not divisible by 8"):
-        model(Tensor(np.zeros((1, 3, 60, 64), dtype=np.float32)))
+        model.forward(Tensor(np.zeros((1, 3, 60, 64), dtype=np.float32)), False)
 
 
 def test_stage_channel_doubling():
@@ -80,12 +79,11 @@ def test_zeroed_residual_branch_is_identity():
     # shortcut the block reduces to ReLU(x) = x for non-negative input.
     block = Bottleneck(8, 8, 2, stride=1, dilation=1)
     init_parameters(block, seed=0)
-    block.train(False)
     for name, p in block.named_parameters():
         if name == "bn3/gamma":
             p.data[...] = 0.0
     x = np.abs(np.random.default_rng(2).normal(size=(1, 8, 6, 6))).astype(np.float32)
-    out = block(Tensor(x))
+    out = block.forward(Tensor(x), False)
     assert np.allclose(out.data, x, atol=1e-6)
 
 
@@ -113,8 +111,8 @@ def receptive_field_probe(cfg: BackboneConfig, input_size: int = 256) -> int:
             p.data[...] = np.abs(p.data) + 0.01
         elif name.endswith("/gamma"):
             p.data[...] = 1.0
-    model.train(False)  # BN becomes identity: running stats are still (0, 1)
-    return impulse_footprint(lambda t: model(t)[0], input_size)
+    # inference mode: BN is identity, running stats are still (0, 1)
+    return impulse_footprint(lambda t: model.forward(t, False)[0], input_size)
 
 
 def test_impulse_footprint_single_conv():
@@ -144,6 +142,6 @@ def test_forward_deterministic_for_fixed_seed():
     a, _ = _toy()
     b, _ = _toy()
     x = np.random.default_rng(3).normal(size=(1, 3, 32, 32)).astype(np.float32)
-    ya, _ = a(Tensor(x))
-    yb, _ = b(Tensor(x))
+    ya, _ = a.forward(Tensor(x), False)
+    yb, _ = b.forward(Tensor(x), False)
     assert np.array_equal(ya.data, yb.data)

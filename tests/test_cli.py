@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import importlib.util
 import re
 import subprocess
 import sys
@@ -687,6 +688,39 @@ def test_benchmark_config_keys_are_run_config_fields():
             for kw in call.keywords if kw.arg is not None}
     assert {"workers", "resume", "ablate_iters"} <= keys
     assert keys <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_benchmark_tracer_fits_the_package():
+    # perfbench/tracer.py times the package by swapping its attributes; a
+    # renamed attribute or a forward that bypasses one loses that span.
+    from pyrseg import training
+    from pyrseg.backbone import BackboneConfig
+    from pyrseg.model import ModelConfig
+    from pyrseg.optim import SGD, OptimConfig
+    from pyrseg.pyramid import PyramidConfig
+    from pyrseg.tensor import Graph, Tensor
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cfg = ModelConfig(backbone=BackboneConfig(stage_blocks=(1, 1, 1, 1), base_channels=8),
+                      pyramid=PyramidConfig(bin_sizes=(1, 2)), num_classes=3, head_channels=8)
+    model = build_model(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.uniform(size=(2, 3, 16, 16)).astype(np.float32))
+    labels = rng.integers(0, cfg.num_classes, size=(2, 16, 16))
+    with tracer.Tracer().installed() as t:
+        with Graph():
+            total, _, _ = model.forward_train(x, labels)
+            training.backward(total)
+        SGD(model, OptimConfig(max_iter=1)).step(0.01)
+        model.forward_infer(x)
+    spans = set(t.name)
+    assert {"model.forward", "model.infer", "model.backbone", "model.pyramid", "model.head",
+            "tensor.backward", "optim.step"} <= spans
+    assert {f"ops.{op}.{half}" for op in ("conv2d", "batch_norm", "add", "mul")
+            for half in ("fwd", "bwd")} <= spans
 
 
 def test_readme_cli_table_matches_parser():

@@ -35,11 +35,10 @@ def _batch(rng, n=2, size=16, k=3):
 
 def test_forward_train_losses_and_weighting():
     rng = np.random.default_rng(0)
-    model = build_model(_tiny(aux_weight=0.4), seed=0).train(False)
+    model = build_model(_tiny(aux_weight=0.4), seed=0)
     x, labels = _batch(rng)
     with Graph():
         total, main, aux = model.forward_train(Tensor(x), labels)
-    assert all(m.training for _, m in model.named_modules())  # train flips back on
     assert total.shape == () and main.shape == () and aux.shape == ()
     assert abs(float(total.data) - (float(main.data) + 0.4 * float(aux.data))) < 1e-6
     assert float(main.data) > 0 and float(aux.data) > 0
@@ -82,7 +81,29 @@ def test_forward_infer_prediction_contract():
     assert isinstance(logits, np.ndarray)
     assert logits.shape == (2, 3, 16, 16)  # upsampled back to the input extent
     assert logits.dtype == np.float32
-    assert not model.training  # infer flips to eval mode
+
+
+def test_each_forward_takes_its_own_mode():
+    # The mode is an argument of the call, not state on the tree: inference
+    # reads the running statistics and writes nothing, and the training call
+    # that follows still updates them.
+    rng = np.random.default_rng(6)
+    model = build_model(_tiny(aux_weight=0.4), seed=0)
+    x, labels = _batch(rng)
+    before = {name: buf.copy() for name, buf in model.named_buffers()}
+    first = model.forward_infer(Tensor(x))
+    second = model.forward_infer(Tensor(x))
+    assert np.array_equal(first, second)
+    after = dict(model.named_buffers())
+    assert all(before[name].tobytes() == after[name].tobytes() for name in before)
+    with Graph():
+        model.forward_train(Tensor(x), labels)
+    means = [name for name in before
+             if name.endswith("/running_mean") and not name.startswith("aux/")]
+    assert len(means) == 20  # stem, 4 blocks x 4 (each projects), 2 pyramid, head
+    trained = dict(model.named_buffers())
+    assert all(not np.array_equal(before[name], trained[name]) for name in means)
+    assert [path for path, node in model.walk() if hasattr(node, "training")] == []
 
 
 def test_infer_ignores_aux_branch():
@@ -234,7 +255,7 @@ def test_no_module_holds_an_array_outside_its_bundle(preset):
     # An array a module holds outside a bundle is never named,
     # saved or updated by SGD.
     model = PSPNet(RunConfig(preset=preset).to_model_config())
-    stray = [f"{name}.{attr}" for name, mod in model.named_modules()
+    stray = [f"{name}.{attr}" for name, mod in model.walk() if isinstance(mod, layers.Module)
              for attr, value in vars(mod).items() if isinstance(value, (Tensor, np.ndarray))]
     assert stray == []
 

@@ -15,7 +15,6 @@ from pyrseg.tensor import Tensor
 def _module(c, cfg, seed=0):
     m = PyramidPooling(c, cfg)
     init_parameters(m, seed=seed)
-    m.train(False)
     return m
 
 
@@ -56,7 +55,7 @@ def test_forward_shape_preserved():
     cfg = PyramidConfig(bin_sizes=(1, 2, 3, 6))
     m = _module(16, cfg)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 16, 8, 8)).astype(np.float32))
-    out = m(x)
+    out = m.forward(x, False)
     assert out.shape == (2, 32, 8, 8)
     # the input map rides along as the first C channels
     assert np.array_equal(out.data[:, :16], x.data)
@@ -66,7 +65,7 @@ def test_forward_no_reduction_concats_raw_levels():
     cfg = PyramidConfig(bin_sizes=(1, 2), dim_reduce=False)
     m = _module(4, cfg)
     x = Tensor(np.random.default_rng(1).normal(size=(1, 4, 6, 6)).astype(np.float32))
-    out = m(x)
+    out = m.forward(x, False)
     assert out.shape == (1, 12, 6, 6)
     # bin-1 level without reduction = broadcast global average
     want = np.broadcast_to(x.data.mean(axis=(2, 3))[:, :, None, None], (1, 4, 6, 6))
@@ -80,7 +79,7 @@ def test_constant_plane_levels_stay_constant():
         cfg = PyramidConfig(bin_sizes=(1, 2, 3), pool_mode=mode, dim_reduce=False)
         m = _module(2, cfg)
         x = Tensor(np.full((1, 2, 9, 9), 0.73, dtype=np.float32))
-        out = m(x)
+        out = m.forward(x, False)
         assert np.array_equal(out.data, np.full((1, 8, 9, 9), np.float32(0.73)))
 
 
@@ -88,17 +87,17 @@ def test_forward_rejects_wrong_channels_and_small_maps():
     cfg = PyramidConfig(bin_sizes=(1, 2, 3, 6))
     m = _module(16, cfg)
     with pytest.raises(ValueError, match="channel mismatch"):
-        m(Tensor(np.zeros((1, 8, 8, 8), dtype=np.float32)))
+        m.forward(Tensor(np.zeros((1, 8, 8, 8), dtype=np.float32)), False)
     with pytest.raises(ValueError, match="exceeds feature extent"):
-        m(Tensor(np.zeros((1, 16, 4, 4), dtype=np.float32)))
+        m.forward(Tensor(np.zeros((1, 16, 4, 4), dtype=np.float32)), False)
 
 
 def test_max_mode_levels_dominate_average():
     cfg_max = PyramidConfig(bin_sizes=(1, 2), pool_mode="max", dim_reduce=False)
     cfg_avg = PyramidConfig(bin_sizes=(1, 2), pool_mode="average", dim_reduce=False)
     x = Tensor(np.random.default_rng(2).normal(size=(1, 3, 6, 6)).astype(np.float32))
-    out_max = _module(3, cfg_max)(x).data[:, 3:]
-    out_avg = _module(3, cfg_avg)(x).data[:, 3:]
+    out_max = _module(3, cfg_max).forward(x, False).data[:, 3:]
+    out_avg = _module(3, cfg_avg).forward(x, False).data[:, 3:]
     assert (out_max >= out_avg - 1e-6).all()
 
 
