@@ -39,18 +39,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _check_last_batch(mcfg, n: int, batch_size: int, crop_size: int) -> None:
-    """An epoch's last batch holds n % batch_size samples; reject a config
-    whose training step would fail on it."""
-    short = n % batch_size
-    if short:
-        try:
-            check_trainable(mcfg, short, crop_size)
-        except ValueError as exc:
-            raise ValueError(f"{n} samples at batch_size {batch_size} leave a last batch of "
-                             f"{short}: {exc}") from None
-
-
 def _class_names(num_classes: int) -> list[str]:
     return [f"class{i}" for i in range(num_classes)]
 
@@ -67,7 +55,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     acfg = cfg.to_augment_config()
     check_trainable(mcfg, cfg.batch_size, acfg.crop_size)
     samples = load_dataset(cfg.data_dir, cfg.num_classes)
-    _check_last_batch(mcfg, len(samples), cfg.batch_size, acfg.crop_size)
+    if len(samples) < cfg.batch_size:
+        raise ValueError(f"{len(samples)} samples do not fill one batch of "
+                         f"batch_size {cfg.batch_size}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -144,11 +134,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     base = cfg.to_model_config()
     ocfg = cfg.to_optim_config(max_iter=cfg.ablate_iters)
     acfg = cfg.to_augment_config()
+    if cfg.ablate_train_n < cfg.batch_size:
+        raise ValueError(f"ablate_train_n {cfg.ablate_train_n} does not fill one batch of "
+                         f"batch_size {cfg.batch_size}")
     variant_cells = ablate_mod.variant_cells(base)
     cells = variant_cells + ablate_mod.alpha_cells(base)
     for _, cell in cells:
         check_trainable(cell, cfg.batch_size, acfg.crop_size)
-        _check_last_batch(cell, cfg.ablate_train_n, cfg.batch_size, acfg.crop_size)
     scfg = ablate_mod.context_dataset_config(cfg.seed)
     corpus = synth_generate(scfg, cfg.ablate_train_n + cfg.ablate_test_n)
     train_samples = corpus[: cfg.ablate_train_n]

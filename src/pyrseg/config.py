@@ -124,7 +124,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 # Smallest accepted value of each run-control, batching and synthetic-data key.
 _MINIMUMS = {
-    "batch_size": 1, "log_every": 1, "ckpt_every": 0, "workers": 1,
+    "seed": 0, "batch_size": 1, "log_every": 1, "ckpt_every": 0, "workers": 1,
     "ablate_iters": 1, "ablate_seeds": 1, "ablate_train_n": 1, "ablate_test_n": 1,
     "synth_n": 1, "synth_count_min": 0, "synth_radius_min": 1, "synth_noise": 0,
 }

@@ -1,10 +1,12 @@
 """Seeded training loop.
 
-Every random draw comes from a generator keyed by (seed, stream tag, index):
-the shuffle order for epoch e is default_rng([seed, 1, e]), the augmentation
-stream for sample j of iteration i is default_rng([seed, 2, i, j]). A resumed
-run replays the remaining iterations bit-for-bit without ever serializing
-generator state.
+An epoch is n // batch_size full batches of its shuffled order; the last
+n % batch_size samples of that order are skipped, and the next epoch
+reshuffles. Every random draw comes from a generator keyed by (seed, stream
+tag, index): the shuffle order for epoch e is default_rng([seed, 1, e]), the
+augmentation stream for sample j of iteration i is default_rng([seed, 2, i, j]).
+A resumed run replays the remaining iterations bit-for-bit without ever
+serializing generator state.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .data import AugmentConfig, SegBatch, SegSample, augment, collate
-from .model import PSPNet
+from .model import PSPNet, check_trainable
 from .optim import SGD, OptimConfig, poly_lr
 from .tensor import Graph, Tensor, backward
 
@@ -55,11 +57,11 @@ def batch_for_iteration(samples: list[SegSample], batch_size: int, seed: int,
     if batches is not None and iteration in batches:
         return batches[iteration]
     n = len(samples)
-    if n == 0:
-        raise ValueError("empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    per_epoch = math.ceil(n / batch_size)
+    if n < batch_size:
+        raise ValueError(f"{n} samples do not fill one batch of batch_size {batch_size}")
+    per_epoch = n // batch_size
     epoch, slot = divmod(iteration, per_epoch)
     order = epoch_order(seed, epoch, n)
     ids = order[slot * batch_size : slot * batch_size + batch_size]
@@ -86,11 +88,13 @@ def train_loop(model: PSPNet, sgd: SGD, samples: list[SegSample],
     on_iteration fires after the optimizer step, so a checkpoint taken there
     captures the state a fresh run would reach at the same index. A
     non-finite loss raises RuntimeError before the step, so no NaN reaches
-    the parameters or a checkpoint.
+    the parameters or a checkpoint. A batch shape `check_trainable` rejects
+    raises ValueError before the first op, so the model is left untouched.
     """
     if not 0 <= start_iter <= optim_cfg.max_iter:
         raise ValueError(f"start iteration {start_iter} outside the schedule "
                          f"[0, {optim_cfg.max_iter}]")
+    check_trainable(model.cfg, batch_size, aug_cfg.crop_size)
     history: list[IterStats] = []
     for it in range(start_iter, optim_cfg.max_iter):
         batch = batch_for_iteration(samples, batch_size, seed, it, aug_cfg, batches)

@@ -306,6 +306,23 @@ def test_negative_value_exits_one_before_any_data(tmp_path, capsys, monkeypatch,
     assert not run.exists()
 
 
+def test_a_negative_seed_exits_one_before_any_data(tmp_path, capsys, monkeypatch):
+    import pyrseg.cli as cli_mod
+
+    def no_data(*args):
+        raise AssertionError("data was touched before the seed was checked")
+
+    monkeypatch.setattr(cli_mod, "load_dataset", no_data)
+    monkeypatch.setattr(cli_mod, "synth_generate", no_data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data_dir = /nonexistent\n")
+    run = tmp_path / "run"
+    for command in ("train", "ablate", "synth"):
+        assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(run)]) == 1
+        assert "config key seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("base_lr = nan", "config key base_lr expects a finite float"),
     ("weight_decay = inf", "config key weight_decay expects a finite float"),
@@ -403,28 +420,35 @@ def test_batch_of_one_trains_without_the_pyramid(ds_dir, tmp_path, capsys):
     assert (run / "final.pspc").is_file()
 
 
-def test_a_one_sample_last_batch_exits_one_before_training(tmp_path, capsys, monkeypatch):
-    # 5 samples at batch_size 2 end each epoch on a batch of 1, which the
-    # dim-reducing pyramid's bin-1 batch norm cannot train on.
+def test_a_set_smaller_than_one_batch_exits_one_before_training(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 5 samples at batch_size 2 train on 2 full batches an epoch; 1 sample
+    # fills no batch, and neither does an ablate_train_n of 1.
     import pyrseg.cli as cli_mod
 
-    synth = tmp_path / "synth.cfg"
-    synth.write_text("synth_n = 5\n")
-    assert main(["synth", "--config", str(synth), "--out", str(tmp_path / "ds")]) == 0
+    for n in (5, 1):
+        synth = tmp_path / f"synth{n}.cfg"
+        synth.write_text(f"synth_n = {n}\n")
+        assert main(["synth", "--config", str(synth), "--out", str(tmp_path / f"ds{n}")]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'ds5'}\nbatch_size = 2\n")
+    assert main(["train", "--config", str(cfg), "--max-iter", "4",
+                 "--out", str(tmp_path / "run5")]) == 0
+    assert "iter=3" in capsys.readouterr().out
 
     def no_training(*args, **kwargs):
-        raise AssertionError("training started before the last batch was checked")
+        raise AssertionError("training started before the set size was checked")
 
     monkeypatch.setattr(cli_mod, "train_loop", no_training)
     monkeypatch.setattr(cli_mod, "synth_generate", no_training)
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"data_dir = {tmp_path / 'ds'}\nbatch_size = 2\n"
-                   "ablate_train_n = 5\nablate_test_n = 2\n")
+    cfg.write_text(f"data_dir = {tmp_path / 'ds1'}\nbatch_size = 2\n"
+                   "ablate_train_n = 1\nablate_test_n = 2\n")
     run = tmp_path / "run"
-    for argv in (["train", "--max-iter", "4"], ["ablate"]):
+    for argv, keys in ((["train", "--max-iter", "4"], ("1 samples", "batch_size 2")),
+                       (["ablate"], ("ablate_train_n 1", "batch_size 2"))):
         assert main([*argv, "--config", str(cfg), "--out", str(run)]) == 1
         err = capsys.readouterr().err
-        for key in ("5 samples", "batch_size 2", "last batch of 1", "psp_dim_reduce"):
+        for key in keys:
             assert key in err, err
     assert not run.exists()
 

@@ -94,30 +94,54 @@ def test_batches_deterministic_and_order_preserving():
     again = batch_for_iteration(samples, 4, seed=3, iteration=6, aug_cfg=_aug())
     assert np.array_equal(batch.images, again.images)
     assert np.array_equal(batch.labels, again.labels)
-    # 6 samples at batch 4 is 2 batches an epoch, so iteration 6 opens epoch
-    # 3; slot j holds picked sample j, augmented by stream (seed, iteration, j)
-    picked = [samples[int(i)] for i in epoch_order(3, 3, 6)[:4]]
+    # 6 samples at batch 4 is 1 full batch an epoch, so iteration 6 opens
+    # epoch 6; slot j holds picked sample j, augmented by stream (seed, iteration, j)
+    picked = [samples[int(i)] for i in epoch_order(3, 6, 6)[:4]]
     want = collate([augment(s, _aug(), augment_rng(3, 6, j)) for j, s in enumerate(picked)])
     assert np.array_equal(batch.images, want.images)
     assert np.array_equal(batch.labels, want.labels)
     other = batch_for_iteration(samples, 4, seed=3, iteration=7, aug_cfg=_aug())
-    assert not np.array_equal(batch.images[:2], other.images)
+    assert not np.array_equal(batch.images, other.images)
 
 
 def test_batch_covers_epoch_without_repeats():
-    # 6 samples, batch 4 -> iteration 0 takes 4, iteration 1 the other 2
+    # 6 samples at batch 4: each epoch is one full batch and its last 2
+    # samples are skipped, so iteration 1 opens epoch 1 with 4 new draws
     samples = _corpus()
-    b0 = batch_for_iteration(samples, 4, seed=0, iteration=0, aug_cfg=_aug())
+    for batch_size in range(1, 7):
+        for it in range(8):
+            b = batch_for_iteration(samples, batch_size, seed=0, iteration=it, aug_cfg=_aug())
+            assert b.images.shape[0] == b.labels.shape[0] == batch_size
+    ids = [int(i) for i in epoch_order(0, 1, 6)[:4]]
+    assert len(set(ids)) == 4
+    want = collate([augment(samples[i], _aug(), augment_rng(0, 1, j)) for j, i in enumerate(ids)])
     b1 = batch_for_iteration(samples, 4, seed=0, iteration=1, aug_cfg=_aug())
-    assert b0.images.shape[0] == 4
-    assert b1.images.shape[0] == 2
+    assert np.array_equal(b1.images, want.images)
+    assert np.array_equal(b1.labels, want.labels)
 
 
 def test_batch_for_iteration_validation():
-    with pytest.raises(ValueError, match="empty"):
-        batch_for_iteration([], 4, seed=0, iteration=0, aug_cfg=_aug())
+    for samples in ([], _corpus(3)):
+        with pytest.raises(ValueError, match=f"{len(samples)} samples .*batch_size 4"):
+            batch_for_iteration(samples, 4, seed=0, iteration=0, aug_cfg=_aug())
     with pytest.raises(ValueError, match="batch_size"):
         batch_for_iteration(_corpus(), 0, seed=0, iteration=0, aug_cfg=_aug())
+
+
+def test_train_loop_rejects_an_untrainable_batch_before_any_op():
+    # the dim-reducing pyramid's bin-1 batch norm sees one value per image
+    _, model = _tiny_model()
+    params = {k: p.data.copy() for k, p in model.named_parameters()}
+    buffers = {k: b.copy() for k, b in model.named_buffers()}
+    ocfg = OptimConfig(max_iter=2)
+    sgd = SGD(model, ocfg)
+    with pytest.raises(ValueError, match="batch_size 1 .*psp_dim_reduce"):
+        train_loop(model, sgd, _corpus(), _aug(), ocfg, seed=0, batch_size=1)
+    for k, p in model.named_parameters():
+        assert p.data.tobytes() == params[k].tobytes(), k
+        assert p.grad is None, k
+    for k, b in model.named_buffers():
+        assert b.tobytes() == buffers[k].tobytes(), k
 
 
 def test_augment_rng_streams_distinct():
